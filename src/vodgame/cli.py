@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -30,13 +29,7 @@ from .equilibrium import (
 from .fake import FakeGameParams, TailMode, expected_fake_payoffs, expected_net_payoff_fake
 from .numerics import require_probability
 from .oracle import simulate_fake, simulate_truth
-from .truth import (
-    TruthGameParams,
-    avg_payoff_defector,
-    avg_payoff_volunteer,
-    net_payoff_regular,
-    payoff_pair_regular,
-)
+from .truth import TruthGameParams, payoff_pair_regular
 
 CURVE_HEADER = "x,volunteer_avg,defector_avg,net"
 SWEEP_HEADER = "swept_name,swept_value,x,net"
@@ -80,39 +73,15 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    model: str
+    """base with swept_name set to each of swept_values in turn."""
+
     base: RunConfig
     swept_name: str
     swept_values: tuple[float, ...]
-    x_range: tuple[float, float]
-    points: int
-    tail: str
 
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
-
-
-def _threads() -> int:
-    raw = os.environ.get("VOD_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"VOD_THREADS must be a nonnegative integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError("VOD_THREADS must be a nonnegative integer")
-    return value if value > 0 else (os.cpu_count() or 1)
-
-
-def _parallel_map(fn, items):
-    items = list(items)
-    workers = min(_threads(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))  # order preserved
 
 
 def _load_config_file(path: str) -> dict:
@@ -291,32 +260,43 @@ def make_sweep_spec(cfg: RunConfig, param: str, raw_values: str) -> SweepSpec:
             f"cannot sweep {param!r} in the {cfg.model} model; "
             f"choose one of {', '.join(allowed)}"
         )
-    return SweepSpec(
-        model=cfg.model,
-        base=cfg,
-        swept_name=param,
-        swept_values=_parse_sweep_values(param, raw_values),
-        x_range=(cfg.xmin, cfg.xmax),
-        points=cfg.points,
-        tail=cfg.tail,
-    )
+    return SweepSpec(cfg, param, _parse_sweep_values(param, raw_values))
 
 
 def run_sweep(spec: SweepSpec):
     """Evaluate the curve and the equilibria at every swept value.
 
-    Returns a list of (value, CurveSample, RegimeReport) in the given
-    order, regardless of how many workers VOD_THREADS allows.
+    Returns a list of (value, CurveSample, RegimeReport) in the order
+    of spec.swept_values.
     """
-
-    def work(value):
+    results = []
+    for value in spec.swept_values:
         cfg = replace(spec.base, **{spec.swept_name: value})
         pair = _pair_fn(cfg)
-        sample = sample_curve(pair, spec.x_range, spec.points)
+        sample = sample_curve(pair, (cfg.xmin, cfg.xmax), cfg.points)
         report = find_equilibria(lambda x: pair(x).net, cfg.grid, cfg.tol)
-        return value, sample, report
+        results.append((value, sample, report))
+    return results
 
-    return _parallel_map(work, spec.swept_values)
+
+def _sweep_csvs(swept_name: str, results) -> tuple[str, str]:
+    """The long CSV and the summary CSV of run_sweep's results."""
+    long_rows = []
+    summary_rows = []
+    for value, sample, report in results:
+        value_str = _fmt(float(value))
+        for x, nv in zip(sample.xs, sample.net):
+            long_rows.append((swept_name, value_str, _fmt(x), _fmt(nv)))
+        unstable, stable = _roots_summary(report)
+        summary_rows.append(
+            (
+                value_str,
+                report.regime,
+                "" if unstable is None else _fmt(unstable),
+                "" if stable is None else _fmt(stable),
+            )
+        )
+    return _csv(SWEEP_HEADER, long_rows), _csv(SUMMARY_HEADER, summary_rows)
 
 
 def _summary_path(path: str) -> str:
@@ -328,24 +308,9 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: str, out: str | None) -> i
     if not out or out == "-":
         raise ValueError("sweep writes two files; pass --out PATH for the long CSV")
     spec = make_sweep_spec(cfg, param, raw_values)
-    results = run_sweep(spec)
-    long_rows = []
-    summary_rows = []
-    for value, sample, report in results:
-        value_str = _fmt(float(value))
-        for x, nv in zip(sample.xs, sample.net):
-            long_rows.append((spec.swept_name, value_str, _fmt(x), _fmt(nv)))
-        unstable, stable = _roots_summary(report)
-        summary_rows.append(
-            (
-                value_str,
-                report.regime,
-                "" if unstable is None else _fmt(unstable),
-                "" if stable is None else _fmt(stable),
-            )
-        )
-    _write_text(out, _csv(SWEEP_HEADER, long_rows))
-    _write_text(_summary_path(out), _csv(SUMMARY_HEADER, summary_rows))
+    long_csv, summary_csv = _sweep_csvs(param, run_sweep(spec))
+    _write_text(out, long_csv)
+    _write_text(_summary_path(out), summary_csv)
     return 0
 
 
@@ -360,16 +325,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.model == "truth":
         params = _truth_params(cfg)
         point = cfg.x
-        analytic_v = avg_payoff_volunteer(point, params)
-        analytic_d = avg_payoff_defector(point, params)
+        pair = payoff_pair_regular(point, params)
         sim = simulate_truth(params, point, cfg.trials, cfg.seed)
     else:
         params = _fake_params(cfg)
         p_star = _resolve_pstar(cfg)
         point = cfg.xf
         pair = expected_fake_payoffs(point, p_star, cfg.n, params, TailMode.FULL)
-        analytic_v, analytic_d = pair.volunteer_avg, pair.defector_avg
         sim = simulate_fake(p_star, cfg.n, params, point, cfg.trials, cfg.seed)
+    analytic_v, analytic_d = pair.volunteer_avg, pair.defector_avg
     z_v = _z_score(sim.volunteer_avg_hat, analytic_v, sim.volunteer_se)
     z_d = _z_score(sim.defector_avg_hat, analytic_d, sim.defector_se)
     payload = {
@@ -413,49 +377,15 @@ def _strictly_decreasing(seq) -> bool:
     return all(a > b for a, b in zip(seq, seq[1:]))
 
 
-def _reproduce_truth_family(swept_name: str, values, make_params, grid: int, tol: float):
-    def work(value):
-        params = make_params(value)
-        sample = sample_curve(
-            lambda x, P=params: payoff_pair_regular(x, P), (0.0, 1.0), _REPRO_POINTS
-        )
-        report = find_equilibria(
-            lambda x, P=params: net_payoff_regular(x, P), grid, tol
-        )
-        return value, sample, report
-
-    return _parallel_map(work, values)
+def _reproduce_sweep(base: RunConfig, swept_name: str, values: tuple, prefix: str):
+    """Run one figure's sweep; return its results and its two CSV files."""
+    results = run_sweep(SweepSpec(base, swept_name, values))
+    curves, summary = _sweep_csvs(swept_name, results)
+    return results, {f"{prefix}_curves.csv": curves, f"{prefix}_summary.csv": summary}
 
 
-def _long_and_summary(swept_name: str, results):
-    long_rows = []
-    summary_rows = []
-    for value, sample, report in results:
-        value_str = _fmt(float(value))
-        for x, nv in zip(sample.xs, sample.net):
-            long_rows.append((swept_name, value_str, _fmt(x), _fmt(nv)))
-        unstable, stable = _roots_summary(report)
-        summary_rows.append(
-            (
-                value_str,
-                report.regime,
-                "" if unstable is None else _fmt(unstable),
-                "" if stable is None else _fmt(stable),
-            )
-        )
-    return long_rows, summary_rows
-
-
-def _reproduce_fig1(grid: int, tol: float) -> dict[str, str]:
-    sigmas = [5.0, 6.0, 7.0, 8.0]
-    results = _reproduce_truth_family(
-        "sigma",
-        sigmas,
-        lambda s: TruthGameParams(shared_reward=s),
-        grid,
-        tol,
-    )
-    long_rows, summary_rows = _long_and_summary("sigma", results)
+def _reproduce_fig1(base: RunConfig) -> dict[str, str]:
+    results, files = _reproduce_sweep(base, "sigma", (5.0, 6.0, 7.0, 8.0), "fig1")
 
     lines = [
         "validation game, net payoff of volunteering across the shared reward",
@@ -487,23 +417,12 @@ def _reproduce_fig1(grid: int, tol: float) -> dict[str, str]:
             " < ".join(_fmt6(s) for s in stables if s is not None),
         )
     )
-    return {
-        "fig1_curves.csv": _csv(SWEEP_HEADER, long_rows),
-        "fig1_summary.csv": _csv(SUMMARY_HEADER, summary_rows),
-        "fig1_report.txt": "\n".join(lines) + "\n",
-    }
+    files["fig1_report.txt"] = "\n".join(lines) + "\n"
+    return files
 
 
-def _reproduce_fig2(grid: int, tol: float) -> dict[str, str]:
-    thresholds = [5, 6, 7, 8]
-    results = _reproduce_truth_family(
-        "k",
-        thresholds,
-        lambda k: TruthGameParams(threshold=k),
-        grid,
-        tol,
-    )
-    long_rows, summary_rows = _long_and_summary("k", results)
+def _reproduce_fig2(base: RunConfig) -> dict[str, str]:
+    results, files = _reproduce_sweep(base, "k", (5, 6, 7, 8), "fig2")
 
     lines = [
         "validation game, net payoff of volunteering across the success threshold",
@@ -552,32 +471,14 @@ def _reproduce_fig2(grid: int, tol: float) -> dict[str, str]:
             + ", ".join(f"k={value}" for value in missing)
             + "; the reward cannot sustain volunteering there"
         )
-    return {
-        "fig2_curves.csv": _csv(SWEEP_HEADER, long_rows),
-        "fig2_summary.csv": _csv(SUMMARY_HEADER, summary_rows),
-        "fig2_report.txt": "\n".join(lines) + "\n",
-    }
+    files["fig2_report.txt"] = "\n".join(lines) + "\n"
+    return files
 
 
-def _reproduce_fig3(grid: int, tol: float) -> dict[str, str]:
-    pstars = [0.04, 0.06, 0.08, 0.10]
-    params = FakeGameParams()
-    n_regular = 100
-
-    def work(item):
-        mode, p_star = item
-        tail = TailMode(mode)
-        pair = lambda xf: expected_fake_payoffs(xf, p_star, n_regular, params, tail)
-        sample = sample_curve(pair, (0.0, 1.0), _REPRO_POINTS)
-        report = find_equilibria(lambda xf: pair(xf).net, grid, tol)
-        xs = np.linspace(0.0, 1.0, _MAX_SCAN_POINTS)
-        nets = [expected_net_payoff_fake(float(xf), p_star, n_regular, params, tail) for xf in xs]
-        best = int(np.argmax(nets))
-        return mode, p_star, sample, report, float(nets[best]), float(xs[best])
-
-    items = [(mode, p) for mode in ("full", "truncated") for p in pstars]
-    results = _parallel_map(work, items)
-
+def _reproduce_fig3(base: RunConfig) -> dict[str, str]:
+    base = replace(base, model="fake")
+    params = _fake_params(base)
+    xs = np.linspace(0.0, 1.0, _MAX_SCAN_POINTS)
     files: dict[str, str] = {}
     lines = [
         "dissemination game, expected net payoff of pushing a fake item",
@@ -586,17 +487,20 @@ def _reproduce_fig3(grid: int, tol: float) -> dict[str, str]:
         "",
     ]
     for mode in ("full", "truncated"):
-        rows = [r for r in results if r[0] == mode]
-        long_rows, summary_rows = _long_and_summary(
-            "pstar", [(p, sample, report) for _, p, sample, report, _, _ in rows]
+        results, csvs = _reproduce_sweep(
+            replace(base, tail=mode), "pstar", (0.04, 0.06, 0.08, 0.10), f"fig3_{mode}"
         )
-        files[f"fig3_{mode}_curves.csv"] = _csv(SWEEP_HEADER, long_rows)
-        files[f"fig3_{mode}_summary.csv"] = _csv(SUMMARY_HEADER, summary_rows)
-
+        files.update(csvs)
         maxima = []
         crossings = []
         lines.append(f"[{mode}]")
-        for _, p_star, _, report, max_net, argmax_x in rows:
+        for p_star, _, report in results:
+            nets = [
+                expected_net_payoff_fake(float(xf), p_star, base.n, params, TailMode(mode))
+                for xf in xs
+            ]
+            best = int(np.argmax(nets))
+            max_net, argmax_x = float(nets[best]), float(xs[best])
             first = report.equilibria[0].x if report.equilibria else None
             crossings.append(first)
             maxima.append(max_net)
@@ -637,7 +541,7 @@ def cmd_reproduce(figure: str, out_dir: str | None, grid: int, tol: float) -> in
         "fig2": _reproduce_fig2,
         "fig3": _reproduce_fig3,
     }
-    files = builders[figure](grid, tol)
+    files = builders[figure](RunConfig(points=_REPRO_POINTS, grid=grid, tol=tol))
     os.makedirs(out_dir, exist_ok=True)
     for name, content in sorted(files.items()):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:

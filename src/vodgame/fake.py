@@ -14,9 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .numerics import binomial_tail_pair, pmf_row, require_probability
+from .numerics import _tail_pair, pmf_row, require_probability
 from .truth import PayoffPair
 
 __all__ = [
@@ -50,6 +48,9 @@ class FakeGameParams:
     strict_dominance: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("cost_volunteer_fake", "cost_failure"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.n_fake < 1:
             raise ValueError("n_fake must be at least 1")
         if self.cost_volunteer_fake <= 0.0:
@@ -88,14 +89,33 @@ def individual_payoff_fake(
     return 1.0 if success else 1.0 - p.cost_failure
 
 
-def _volunteer_lo(regular_volunteers: int, strict: bool) -> int:
-    # smallest co-volunteer count that wins: total k_co + 1 vs M
-    lo = regular_volunteers - 1 + (1 if strict else 0)
-    return max(0, lo)
+def _payoffs_against(
+    tail_at, regular_volunteers: int, p: FakeGameParams
+) -> tuple[float, float]:
+    # volunteer and defector payoffs against a known regular turnout;
+    # tail_at(lo) is (P[K < lo], P[K >= lo]) for the co-volunteer count
+    # K ~ Binomial(n_fake-1, x_f). A volunteer wins when K + 1 beats the
+    # turnout, a defector when K alone does, so the defector against m
+    # and the volunteer against m + 1 share a tail
+    strict = 1 if p.strict_dominance else 0
+    fail, succ = tail_at(max(regular_volunteers - 1 + strict, 0))
+    v = succ * (1.0 - p.cost_volunteer_fake) + fail * (
+        1.0 - p.cost_volunteer_fake - p.cost_failure
+    )
+    fail, succ = tail_at(regular_volunteers + strict)
+    return v, succ + fail * (1.0 - p.cost_failure)
 
 
-def _defector_lo(regular_volunteers: int, strict: bool) -> int:
-    return regular_volunteers + (1 if strict else 0)
+def _payoffs_at_turnout(
+    x_f: float, regular_volunteers: int, params: FakeGameParams
+) -> tuple[float, float]:
+    x_f = require_probability(x_f, "x_f")
+    if regular_volunteers < 0:
+        raise ValueError("regular_volunteers must be nonnegative")
+    row = pmf_row(params.n_fake - 1, x_f)
+    return _payoffs_against(
+        lambda lo: _tail_pair(row, lo, x_f), regular_volunteers, params
+    )
 
 
 def avg_payoff_fake_volunteer(
@@ -104,15 +124,7 @@ def avg_payoff_fake_volunteer(
     """Expected payoff of a fake volunteer against a known regular
     turnout, its n_fake-1 peers volunteering independently with
     probability x_f."""
-    x_f = require_probability(x_f, "x_f")
-    if regular_volunteers < 0:
-        raise ValueError("regular_volunteers must be nonnegative")
-    p = params
-    lo = _volunteer_lo(regular_volunteers, p.strict_dominance)
-    fail, succ = binomial_tail_pair(p.n_fake - 1, lo, x_f)
-    return succ * (1.0 - p.cost_volunteer_fake) + fail * (
-        1.0 - p.cost_volunteer_fake - p.cost_failure
-    )
+    return _payoffs_at_turnout(x_f, regular_volunteers, params)[0]
 
 
 def avg_payoff_fake_defector(
@@ -120,27 +132,7 @@ def avg_payoff_fake_defector(
 ) -> float:
     """Expected payoff of a fake-side defector against a known regular
     turnout."""
-    x_f = require_probability(x_f, "x_f")
-    if regular_volunteers < 0:
-        raise ValueError("regular_volunteers must be nonnegative")
-    p = params
-    lo = _defector_lo(regular_volunteers, p.strict_dominance)
-    fail, succ = binomial_tail_pair(p.n_fake - 1, lo, x_f)
-    return succ + fail * (1.0 - p.cost_failure)
-
-
-def _payoffs_by_lo(x_f: float, params: FakeGameParams) -> tuple[np.ndarray, np.ndarray]:
-    # volunteer/defector payoffs indexed by the winning lower bound on
-    # co-volunteers; index n_fake stands for "unreachable", tail 0
-    p = params
-    pairs = [binomial_tail_pair(p.n_fake - 1, lo, x_f) for lo in range(p.n_fake + 1)]
-    fail = np.array([pr[0] for pr in pairs])
-    succ = np.array([pr[1] for pr in pairs])
-    pv = succ * (1.0 - p.cost_volunteer_fake) + fail * (
-        1.0 - p.cost_volunteer_fake - p.cost_failure
-    )
-    pd = succ + fail * (1.0 - p.cost_failure)
-    return pv, pd
+    return _payoffs_at_turnout(x_f, regular_volunteers, params)[1]
 
 
 def expected_fake_payoffs(
@@ -154,22 +146,31 @@ def expected_fake_payoffs(
 
     p_star is the regular agents' volunteering probability, normally
     their stable equilibrium. See TailMode for the averaging range.
+    Every turnout above n_fake loses for both roles, so FULL adds the
+    mass above n_fake once, at the losing payoffs.
     """
     x_f = require_probability(x_f, "x_f")
     p_star = require_probability(p_star, "p_star")
     if n_regular < 1:
         raise ValueError("n_regular must be at least 1")
     p = params
-    strict = 1 if p.strict_dominance else 0
-    m_hi = p.n_fake if tail is TailMode.TRUNCATED else n_regular
-
-    weights = pmf_row(n_regular, p_star)[: m_hi + 1]
-    m = np.arange(m_hi + 1)
-    lo_v = np.minimum(np.maximum(m - 1 + strict, 0), p.n_fake)
-    lo_d = np.minimum(m + strict, p.n_fake)
-    pv_by_lo, pd_by_lo = _payoffs_by_lo(x_f, p)
-    v = math.fsum(weights * pv_by_lo[lo_v])
-    d = math.fsum(weights * pd_by_lo[lo_d])
+    weights = pmf_row(n_regular, p_star)
+    row = pmf_row(p.n_fake - 1, x_f)
+    m_top = min(p.n_fake, n_regular)
+    tails = [_tail_pair(row, lo, x_f) for lo in range(m_top + 2)]
+    v_terms, d_terms = [], []
+    for m in range(m_top + 1):
+        v, d = _payoffs_against(tails.__getitem__, m, p)
+        v_terms.append(weights[m] * v)
+        d_terms.append(weights[m] * d)
+    if tail is TailMode.FULL:
+        # summed from the row's own entries, not as 1 - P[M <= n_fake]:
+        # at n_regular = 10^6 the row's total mass misses 1 by ~3e-10
+        above = math.fsum(weights[p.n_fake + 1 :])
+        v_terms.append(above * (1.0 - p.cost_volunteer_fake - p.cost_failure))
+        d_terms.append(above * (1.0 - p.cost_failure))
+    v = math.fsum(v_terms)
+    d = math.fsum(d_terms)
     return PayoffPair(v, d, v - d)
 
 

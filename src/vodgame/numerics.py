@@ -70,7 +70,6 @@ def _log_choose_row(n: int) -> np.ndarray:
     return row
 
 
-@lru_cache(maxsize=16)
 def pmf_row(n: int, x: float) -> np.ndarray:
     """Binomial(n, x) pmf over m = 0..n as a read-only vector."""
     x = require_probability(x, "x")
@@ -84,24 +83,28 @@ def pmf_row(n: int, x: float) -> np.ndarray:
     return row
 
 
-def binomial_tail_pair(n: int, lo: int, x: float) -> tuple[float, float]:
-    """(P[M < lo], P[M >= lo]) for M ~ Binomial(n, x).
-
-    The light side (at most half the mass, judged by the mean n*x) is
-    summed term by term with math.fsum and the heavy side is its exact
-    complement. lo <= 0 and lo > n short-circuit to exact (0, 1) and
-    (1, 0).
-    """
+def _tail_pair(row: np.ndarray, lo: int, x: float) -> tuple[float, float]:
+    # binomial_tail_pair on a prebuilt Binomial(len(row) - 1, x) row
+    n = len(row) - 1
     if lo <= 0:
         return 0.0, 1.0
     if lo > n:
         return 1.0, 0.0
-    row = pmf_row(n, x)
     if lo <= n * x:
         below = math.fsum(row[:lo])
         return below, 1.0 - below
     above = math.fsum(row[lo:])
     return 1.0 - above, above
+
+
+def binomial_tail_pair(n: int, lo: int, x: float) -> tuple[float, float]:
+    """(P[M < lo], P[M >= lo]) for M ~ Binomial(n, x).
+
+    The light side (at most half the mass, judged by the mean n*x) is
+    summed term by term with math.fsum and the heavy side is its exact
+    complement. lo <= 0 and lo > n give exact (0, 1) and (1, 0).
+    """
+    return _tail_pair(pmf_row(n, x), lo, x)
 
 
 def binomial_tail(n: int, lo: int, x: float) -> float:

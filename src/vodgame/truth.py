@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import binomial_tail_pair, pmf_row, require_probability
+from .numerics import _tail_pair, pmf_row, require_probability
 
 __all__ = [
     "TruthGameParams",
@@ -54,6 +54,9 @@ class TruthGameParams:
     allow_nonstandard: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("cost_volunteer", "cost_failure", "shared_reward"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.n_regular < 2:
             raise ValueError("n_regular must be at least 2")
         if not 1 <= self.threshold <= self.n_regular:
@@ -91,50 +94,42 @@ def individual_payoff_regular(
     return 1.0 if success else 1.0 - p.cost_failure
 
 
-def avg_payoff_volunteer(x: float, params: TruthGameParams) -> float:
-    """Expected payoff of a volunteer when each of the other n_regular-1
-    agents volunteers independently with probability x.
+def payoff_pair_regular(x: float, params: TruthGameParams) -> PayoffPair:
+    """Average volunteer and defector payoffs when each of the other
+    n_regular-1 agents volunteers independently with probability x.
 
-    With M co-volunteers the item is validated iff M >= threshold - 1
-    (the focal agent completes the quorum), in which case the volunteer
-    also nets the reward share minus the funding fee,
-    shared_reward/(M+1) - shared_reward/n_regular.
+    Both come from one Binomial(n_regular-1, x) row of co-volunteer
+    counts M. A volunteer completes the quorum iff M >= threshold - 1,
+    and then also nets the reward share minus the funding fee,
+    shared_reward/(M+1) - shared_reward/n_regular. A defector needs
+    M >= threshold and pays the fee shared_reward/n_regular only on
+    that success event.
     """
     x = require_probability(x, "x")
     p = params
     n_co = p.n_regular - 1
-    fail, succ = binomial_tail_pair(n_co, p.threshold - 1, x)
-    base = succ * (1.0 - p.cost_volunteer) + fail * (
-        1.0 - p.cost_volunteer - p.cost_failure
-    )
-    if p.shared_reward == 0.0:
-        return base
     row = pmf_row(n_co, x)
-    m = np.arange(p.threshold - 1, n_co + 1, dtype=np.float64)
-    share = p.shared_reward / (m + 1.0) - p.shared_reward / p.n_regular
-    return base + math.fsum(row[p.threshold - 1 :] * share)
+    fail, succ = _tail_pair(row, p.threshold - 1, x)
+    v = succ * (1.0 - p.cost_volunteer) + fail * (1.0 - p.cost_volunteer - p.cost_failure)
+    if p.shared_reward != 0.0:
+        m = np.arange(p.threshold - 1, n_co + 1, dtype=np.float64)
+        share = p.shared_reward / (m + 1.0) - p.shared_reward / p.n_regular
+        v = v + math.fsum(row[p.threshold - 1 :] * share)
+    fail, succ = _tail_pair(row, p.threshold, x)
+    d = succ + fail * (1.0 - p.cost_failure) - (p.shared_reward / p.n_regular) * succ
+    return PayoffPair(v, d, v - d)
+
+
+def avg_payoff_volunteer(x: float, params: TruthGameParams) -> float:
+    """Expected payoff of a volunteer at mixing x; see payoff_pair_regular."""
+    return payoff_pair_regular(x, params).volunteer_avg
 
 
 def avg_payoff_defector(x: float, params: TruthGameParams) -> float:
-    """Expected payoff of a defector at mixing x.
-
-    Validation needs M >= threshold co-volunteers without the focal
-    agent. The per-capita fee shared_reward/n_regular applies only on
-    the success event.
-    """
-    x = require_probability(x, "x")
-    p = params
-    fail, succ = binomial_tail_pair(p.n_regular - 1, p.threshold, x)
-    fee = (p.shared_reward / p.n_regular) * succ
-    return succ + fail * (1.0 - p.cost_failure) - fee
+    """Expected payoff of a defector at mixing x; see payoff_pair_regular."""
+    return payoff_pair_regular(x, params).defector_avg
 
 
 def net_payoff_regular(x: float, params: TruthGameParams) -> float:
     """avg_payoff_volunteer(x) - avg_payoff_defector(x); zero at mixed equilibria."""
-    return avg_payoff_volunteer(x, params) - avg_payoff_defector(x, params)
-
-
-def payoff_pair_regular(x: float, params: TruthGameParams) -> PayoffPair:
-    v = avg_payoff_volunteer(x, params)
-    d = avg_payoff_defector(x, params)
-    return PayoffPair(v, d, v - d)
+    return payoff_pair_regular(x, params).net

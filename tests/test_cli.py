@@ -311,6 +311,8 @@ def test_config_file_missing(tmp_path):
         ("curve", "--xmin", "0.5", "--xmax", "0.2"),
         ("equilibria", "--model", "fake", "--pstar", "1.5"),
         ("simulate", "--trials", "0"),
+        ("curve", "--c", "nan"),            # non-finite cost
+        ("equilibria", "--sigma", "inf"),   # non-finite reward
     ],
 )
 def test_invalid_parameters_exit_two(argv, tmp_path):
@@ -326,13 +328,6 @@ def test_reproduce_unwritable_directory_exits_three(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x", encoding="utf-8")
     assert run_cli("reproduce", "fig1", "--out", str(blocker / "sub")) == 3
-
-
-def test_invalid_thread_cap_exits_two(monkeypatch, tmp_path):
-    monkeypatch.setenv("VOD_THREADS", "many")
-    code = run_cli("sweep", "--param", "sigma", "--values", "5,6",
-                   "--out", str(tmp_path / "s.csv"))
-    assert code == 2
 
 
 def test_nonstandard_costs_need_explicit_opt_in(tmp_path, capsys):

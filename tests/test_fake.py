@@ -38,6 +38,10 @@ def test_defaults():
         {"cost_volunteer_fake": -0.1},
         {"cost_volunteer_fake": 0.9},
         {"cost_volunteer_fake": 1.2, "cost_failure": 0.9},
+        {"cost_volunteer_fake": math.nan},
+        {"cost_volunteer_fake": math.inf},
+        {"cost_failure": math.nan},
+        {"cost_failure": math.inf},
     ],
 )
 def test_rejects_invalid_parameters(kwargs):
@@ -139,22 +143,25 @@ def test_expected_defaults_to_full_mode():
     assert a == b
 
 
+@pytest.mark.parametrize("params", [BASELINE, STRICT], ids=["ties_win", "strict"])
+@pytest.mark.parametrize("n", [3, 8, 100])
 @pytest.mark.parametrize("tail", [TailMode.FULL, TailMode.TRUNCATED])
-def test_expected_matches_scalar_turnout_loop(tail):
-    """The vectorized expectation agrees with an explicit sum over
-    turnout values weighted by the Binomial(n_regular, p*) pmf."""
-    x_f, p_star, n = 0.35, 0.09, 100
-    m_hi = BASELINE.n_fake if tail is TailMode.TRUNCATED else n
+def test_expected_matches_scalar_turnout_loop(tail, n, params):
+    """The expectation agrees with an explicit sum over turnout values
+    weighted by the Binomial(n_regular, p*) pmf, including turnouts the
+    fake side cannot reach and regular sides no larger than it."""
+    x_f, p_star = 0.35, 0.09 if n == 100 else 0.6
+    m_hi = min(params.n_fake, n) if tail is TailMode.TRUNCATED else n
     weights = pmf_row(n, p_star)
     v = math.fsum(
-        weights[m] * avg_payoff_fake_volunteer(x_f, m, BASELINE)
+        weights[m] * avg_payoff_fake_volunteer(x_f, m, params)
         for m in range(m_hi + 1)
     )
     d = math.fsum(
-        weights[m] * avg_payoff_fake_defector(x_f, m, BASELINE)
+        weights[m] * avg_payoff_fake_defector(x_f, m, params)
         for m in range(m_hi + 1)
     )
-    pair = expected_fake_payoffs(x_f, p_star, n, BASELINE, tail)
+    pair = expected_fake_payoffs(x_f, p_star, n, params, tail)
     assert pair.volunteer_avg == pytest.approx(v, abs=1e-12)
     assert pair.defector_avg == pytest.approx(d, abs=1e-12)
 

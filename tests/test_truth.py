@@ -36,6 +36,12 @@ def test_defaults():
         {"shared_reward": -1.0},
         {"cost_volunteer": 0.9, "cost_failure": 0.5},
         {"cost_volunteer": 0.9, "cost_failure": 0.9},
+        {"cost_volunteer": math.nan},
+        {"cost_volunteer": math.inf},
+        {"cost_failure": math.nan},
+        {"cost_failure": math.inf},
+        {"shared_reward": math.nan},
+        {"shared_reward": math.inf},
     ],
 )
 def test_rejects_invalid_parameters(kwargs):
