@@ -143,14 +143,11 @@ def test_expected_defaults_to_full_mode():
     assert a == b
 
 
-@pytest.mark.parametrize("params", [BASELINE, STRICT], ids=["ties_win", "strict"])
-@pytest.mark.parametrize("n", [3, 8, 100])
-@pytest.mark.parametrize("tail", [TailMode.FULL, TailMode.TRUNCATED])
-def test_expected_matches_scalar_turnout_loop(tail, n, params):
+def _check_against_turnout_loop(tail, n, params, p_star):
     """The expectation agrees with an explicit sum over turnout values
     weighted by the Binomial(n_regular, p*) pmf, including turnouts the
     fake side cannot reach and regular sides no larger than it."""
-    x_f, p_star = 0.35, 0.09 if n == 100 else 0.6
+    x_f = 0.35
     m_hi = min(params.n_fake, n) if tail is TailMode.TRUNCATED else n
     weights = pmf_row(n, p_star)
     v = math.fsum(
@@ -164,6 +161,22 @@ def test_expected_matches_scalar_turnout_loop(tail, n, params):
     pair = expected_fake_payoffs(x_f, p_star, n, params, tail)
     assert pair.volunteer_avg == pytest.approx(v, abs=1e-12)
     assert pair.defector_avg == pytest.approx(d, abs=1e-12)
+
+
+@pytest.mark.parametrize("tail", [TailMode.FULL, TailMode.TRUNCATED])
+def test_expected_matches_scalar_turnout_loop(tail):
+    _check_against_turnout_loop(tail, 100, BASELINE, 0.09)
+
+
+@pytest.mark.parametrize(
+    "n, params",
+    [(3, BASELINE), (8, BASELINE), (3, STRICT), (8, STRICT), (100, STRICT)],
+    ids=["3-ties_win", "8-ties_win", "3-strict", "8-strict", "100-strict"],
+)
+@pytest.mark.parametrize("tail", [TailMode.FULL, TailMode.TRUNCATED])
+def test_expected_matches_scalar_turnout_loop_small_n_and_strict(tail, n, params):
+    """The same check at n_regular <= n_fake and with strict dominance."""
+    _check_against_turnout_loop(tail, n, params, 0.09 if n == 100 else 0.6)
 
 
 def test_rejects_bad_inputs():
