@@ -104,7 +104,7 @@ def _load_config_file(path: str) -> dict:
                 raise ValueError(f"config key {key!r} must be a boolean")
             out[key] = value
         elif key in _INT_FIELDS:
-            if isinstance(value, bool) or int(value) != value:
+            if not (type(value) is int or type(value) is float and value.is_integer()):
                 raise ValueError(f"config key {key!r} must be an integer")
             out[key] = int(value)
         elif key in _FLOAT_FIELDS:
@@ -143,8 +143,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ValueError("points must be >= 2")
     if cfg.grid < 2:
         raise ValueError("grid must be >= 2")
-    if cfg.tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < cfg.tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
     if not cfg.xmin < cfg.xmax:
@@ -357,7 +357,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
 # ------------------------------------------------------------- reproduce
 
 _REPRO_POINTS = 201
-_MAX_SCAN_POINTS = 4097
 
 
 def _fmt6(v: float) -> str:
@@ -478,7 +477,7 @@ def _reproduce_fig2(base: RunConfig) -> dict[str, str]:
 def _reproduce_fig3(base: RunConfig) -> dict[str, str]:
     base = replace(base, model="fake")
     params = _fake_params(base)
-    xs = np.linspace(0.0, 1.0, _MAX_SCAN_POINTS)
+    xs = np.linspace(0.0, 1.0, 4097)  # where the max net is looked up
     files: dict[str, str] = {}
     lines = [
         "dissemination game, expected net payoff of pushing a fake item",
@@ -495,10 +494,7 @@ def _reproduce_fig3(base: RunConfig) -> dict[str, str]:
         crossings = []
         lines.append(f"[{mode}]")
         for p_star, _, report in results:
-            nets = [
-                expected_net_payoff_fake(float(xf), p_star, base.n, params, TailMode(mode))
-                for xf in xs
-            ]
+            nets = expected_net_payoff_fake(xs, p_star, base.n, params, TailMode(mode))
             best = int(np.argmax(nets))
             max_net, argmax_x = float(nets[best]), float(xs[best])
             first = report.equilibria[0].x if report.equilibria else None

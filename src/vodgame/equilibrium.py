@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import _brackets_from_scan, _scan, refine_root, require_probability, slope_at
+from .numerics import _scan, refine_root, require_probability, slope_at
 from .truth import PayoffPair, TruthGameParams, net_payoff_regular
 
 __all__ = [
@@ -62,16 +62,8 @@ class CurveSample:
     net: tuple[float, ...]
 
 
-def _sign(v: float) -> int:
-    if v > 0.0:
-        return 1
-    if v < 0.0:
-        return -1
-    return 0
-
-
 def find_equilibria(
-    net_fn: Callable[[float], float],
+    net_fn: Callable,
     grid_points: int = 2048,
     tol: float = 1e-10,
     *,
@@ -81,13 +73,16 @@ def find_equilibria(
     """Scan net_fn over [0, 1], refine every bracketed zero, and
     classify each by the local slope.
 
+    The scan calls net_fn once on the whole grid array; refinement and
+    slopes call it on single floats, so it must accept both.
+
     Slope below -slope_epsilon means stable (deviations die out),
     above +slope_epsilon unstable; anything inside the band, and any
     exact zero at x=0 or x=1, is reported as degenerate.
     """
-    xs, ys = _scan(net_fn, grid_points)
+    ys, brackets = _scan(net_fn, grid_points)
     roots: list[float] = []
-    for bracket in _brackets_from_scan(xs, ys):
+    for bracket in brackets:
         r = refine_root(net_fn, bracket, tol)
         if roots and abs(r - roots[-1]) < tol:
             continue
@@ -109,13 +104,13 @@ def find_equilibria(
     interior = [e for e in eqs if not (e.x == 0.0 or e.x == 1.0)]
     if interior:
         regime = "mixed"
-    elif max(ys) <= 0.0:
+    elif ys.max() <= 0.0:
         regime = "dominant_defect"
-    elif min(ys) >= 0.0:
+    elif ys.min() >= 0.0:
         regime = "dominant_volunteer"
     else:
         regime = "mixed"
-    return RegimeReport(tuple(eqs), regime, (_sign(ys[0]), _sign(ys[-1])))
+    return RegimeReport(tuple(eqs), regime, (int(np.sign(ys[0])), int(np.sign(ys[-1]))))
 
 
 def stable_equilibrium(
@@ -129,11 +124,12 @@ def stable_equilibrium(
 
 
 def sample_curve(
-    pair_fn: Callable[[float], PayoffPair],
+    pair_fn: Callable[[np.ndarray], PayoffPair],
     x_range: tuple[float, float] = (0.0, 1.0),
     points: int = 101,
 ) -> CurveSample:
-    """Evaluate a payoff-pair function on an even grid over x_range."""
+    """Evaluate pair_fn once, on an even grid array over x_range; each
+    field of the PayoffPair it returns holds one value per point or one for all."""
     lo, hi = x_range
     lo = require_probability(lo, "x_range lower end")
     hi = require_probability(hi, "x_range upper end")
@@ -142,10 +138,6 @@ def sample_curve(
     if points < 2:
         raise ValueError("points must be >= 2")
     xs = np.linspace(lo, hi, points)
-    pairs = [pair_fn(float(x)) for x in xs]
-    return CurveSample(
-        xs=tuple(float(x) for x in xs),
-        volunteer_avg=tuple(p.volunteer_avg for p in pairs),
-        defector_avg=tuple(p.defector_avg for p in pairs),
-        net=tuple(p.net for p in pairs),
-    )
+    pair = pair_fn(xs)
+    columns = (xs, pair.volunteer_avg, pair.defector_avg, pair.net)
+    return CurveSample(*(tuple(np.broadcast_to(c, xs.shape).tolist()) for c in columns))

@@ -14,7 +14,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .numerics import _tail_pair, pmf_row, require_probability
+import numpy as np
+
+from .numerics import mix, pmf_row, require_probability
 from .truth import PayoffPair
 
 __all__ = [
@@ -89,93 +91,74 @@ def individual_payoff_fake(
     return 1.0 if success else 1.0 - p.cost_failure
 
 
-def _payoffs_against(
-    tail_at, regular_volunteers: int, p: FakeGameParams
-) -> tuple[float, float]:
-    # volunteer and defector payoffs against a known regular turnout;
-    # tail_at(lo) is (P[K < lo], P[K >= lo]) for the co-volunteer count
-    # K ~ Binomial(n_fake-1, x_f). A volunteer wins when K + 1 beats the
-    # turnout, a defector when K alone does, so the defector against m
-    # and the volunteer against m + 1 share a tail
-    strict = 1 if p.strict_dominance else 0
-    fail, succ = tail_at(max(regular_volunteers - 1 + strict, 0))
-    v = succ * (1.0 - p.cost_volunteer_fake) + fail * (
-        1.0 - p.cost_volunteer_fake - p.cost_failure
-    )
-    fail, succ = tail_at(regular_volunteers + strict)
-    return v, succ + fail * (1.0 - p.cost_failure)
+def _gains(weights: np.ndarray, tail: TailMode, p: FakeGameParams) -> tuple[np.ndarray, ...]:
+    # volunteer and defector gains over the focal agent's 0..n_fake-1
+    # volunteering peers, averaged over the regular turnout M ~ weights.
+    # Every M above n_fake loses for both roles; FULL adds that mass to the
+    # total, summed from the weights (a pmf row's mass misses 1 by ~3e-10
+    # at n_regular = 10^6)
+    f = p.n_fake
+    above = math.fsum(weights[f + 1 :]) if tail is TailMode.FULL else 0.0
+    # below[i] = P[M < i] over M = 0..n_fake, for i = 0..n_fake + 1 at least
+    below = np.cumsum(np.concatenate(([0.0], weights[: f + 1], np.zeros(f + 1))))
+    total = below[-1] + above
+    # with j peers a defector wins iff M < lo = j + 1 - s and a volunteer
+    # iff M < lo + 1, where s = 1 under strict dominance
+    lo = np.arange(f) + (0 if p.strict_dominance else 1)
+    v = (1.0 - p.cost_volunteer_fake - p.cost_failure) * total + p.cost_failure * below[lo + 1]
+    d = (1.0 - p.cost_failure) * total + p.cost_failure * below[lo]
+    return v, d
 
 
-def _payoffs_at_turnout(
-    x_f: float, regular_volunteers: int, params: FakeGameParams
-) -> tuple[float, float]:
-    x_f = require_probability(x_f, "x_f")
+def _gains_against(regular_volunteers: int, p: FakeGameParams) -> tuple[np.ndarray, ...]:
+    # _gains for a known turnout, from one-hot weights whose last entry
+    # stands for every turnout above n_fake
     if regular_volunteers < 0:
         raise ValueError("regular_volunteers must be nonnegative")
-    row = pmf_row(params.n_fake - 1, x_f)
-    return _payoffs_against(
-        lambda lo: _tail_pair(row, lo, x_f), regular_volunteers, params
-    )
+    weights = np.zeros(p.n_fake + 2)
+    weights[min(regular_volunteers, p.n_fake + 1)] = 1.0
+    return _gains(weights, TailMode.FULL, p)
 
 
 def avg_payoff_fake_volunteer(
-    x_f: float, regular_volunteers: int, params: FakeGameParams
+    x_f, regular_volunteers: int, params: FakeGameParams
 ) -> float:
     """Expected payoff of a fake volunteer against a known regular
     turnout, its n_fake-1 peers volunteering independently with
-    probability x_f."""
-    return _payoffs_at_turnout(x_f, regular_volunteers, params)[0]
+    probability x_f (a float or an array of them)."""
+    return mix(_gains_against(regular_volunteers, params), x_f)[0]
 
 
 def avg_payoff_fake_defector(
-    x_f: float, regular_volunteers: int, params: FakeGameParams
+    x_f, regular_volunteers: int, params: FakeGameParams
 ) -> float:
     """Expected payoff of a fake-side defector against a known regular
     turnout."""
-    return _payoffs_at_turnout(x_f, regular_volunteers, params)[1]
+    return mix(_gains_against(regular_volunteers, params), x_f)[1]
 
 
 def expected_fake_payoffs(
-    x_f: float,
+    x_f,
     p_star: float,
     n_regular: int,
     params: FakeGameParams,
     tail: TailMode = TailMode.FULL,
 ) -> PayoffPair:
-    """Average the per-turnout payoffs over M ~ Binomial(n_regular, p_star).
+    """Average the payoffs over M ~ Binomial(n_regular, p_star), at x_f
+    or at each x_f of an array.
 
     p_star is the regular agents' volunteering probability, normally
     their stable equilibrium. See TailMode for the averaging range.
-    Every turnout above n_fake loses for both roles, so FULL adds the
-    mass above n_fake once, at the losing payoffs.
     """
-    x_f = require_probability(x_f, "x_f")
     p_star = require_probability(p_star, "p_star")
     if n_regular < 1:
         raise ValueError("n_regular must be at least 1")
-    p = params
-    weights = pmf_row(n_regular, p_star)
-    row = pmf_row(p.n_fake - 1, x_f)
-    m_top = min(p.n_fake, n_regular)
-    tails = [_tail_pair(row, lo, x_f) for lo in range(m_top + 2)]
-    v_terms, d_terms = [], []
-    for m in range(m_top + 1):
-        v, d = _payoffs_against(tails.__getitem__, m, p)
-        v_terms.append(weights[m] * v)
-        d_terms.append(weights[m] * d)
-    if tail is TailMode.FULL:
-        # summed from the row's own entries, not as 1 - P[M <= n_fake]:
-        # at n_regular = 10^6 the row's total mass misses 1 by ~3e-10
-        above = math.fsum(weights[p.n_fake + 1 :])
-        v_terms.append(above * (1.0 - p.cost_volunteer_fake - p.cost_failure))
-        d_terms.append(above * (1.0 - p.cost_failure))
-    v = math.fsum(v_terms)
-    d = math.fsum(d_terms)
+    v, d = mix(_gains(pmf_row(n_regular, p_star), tail, params), x_f)
     return PayoffPair(v, d, v - d)
 
 
 def expected_net_payoff_fake(
-    x_f: float,
+    x_f,
     p_star: float,
     n_regular: int,
     params: FakeGameParams,

@@ -1,10 +1,10 @@
-"""Binomial mass/tail kernels and a deterministic bracketing root finder.
+"""Binomial pmf rows, binomial mixtures and tails, and a deterministic
+bracketing root finder.
 
-Everything here works on plain floats over the unit interval. Tail
-probabilities are accumulated from the side of the distribution that
-carries less mass, then complemented, so small tails keep full relative
-precision and large tails keep full absolute precision and each
-(below, at-or-above) pair sums to 1.0 exactly.
+mix averages gain sequences against Binomial(n, x) pmf rows for a whole
+array of x at once. Tail probabilities are summed on the side of the
+distribution that carries less mass and complemented, so each (below,
+at-or-above) pair sums to 1.0 exactly.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "require_probability",
     "log_binomial_pmf",
     "pmf_row",
+    "mix",
     "binomial_tail",
     "binomial_tail_pair",
     "find_brackets",
@@ -29,14 +30,24 @@ __all__ = [
     "slope_at",
 ]
 
+# pmf entries built at once (512 KB): a few grid points' rows at moderate
+# n, a piece of one row at large n, so no temporary grows with n or the grid
+_BLOCK_ENTRIES = 1 << 16
 
-def require_probability(value: float, name: str = "probability") -> float:
-    """Validate value as a probability in [0, 1] and return it as a float.
+
+def require_probability(value, name: str = "probability"):
+    """Validate value as a probability in [0, 1] and return it as a
+    float, or a numpy array of them as a float array.
 
     NaN, negatives, and anything above 1 are rejected with ValueError.
     """
-    v = float(value)
-    if math.isnan(v) or v < 0.0 or v > 1.0:
+    if isinstance(value, np.ndarray):
+        v = value.astype(np.float64, copy=False)
+        ok = np.all((v >= 0.0) & (v <= 1.0))
+    else:
+        v = float(value)
+        ok = 0.0 <= v <= 1.0
+    if not ok:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return v
 
@@ -64,37 +75,55 @@ def log_binomial_pmf(n: int, m: int, x: float) -> float:
 
 @lru_cache(maxsize=32)
 def _log_choose_row(n: int) -> np.ndarray:
-    m = np.arange(n + 1, dtype=np.float64)
-    row = gammaln(n + 1.0) - gammaln(m + 1.0) - gammaln(n - m + 1.0)
+    lg = gammaln(np.arange(1.0, n + 2.0))  # log m! for m = 0..n
+    row = gammaln(n + 1.0) - lg - lg[::-1]
     row.setflags(write=False)
     return row
+
+
+def _pmf_block(n: int, xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    # Binomial(n, x) pmf at m = lo..hi-1 for each x of a checked 1-d array
+    m = np.arange(lo, min(hi, n + 1), dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        block = np.multiply.outer(np.log(xs), m)
+        block += _log_choose_row(n)[lo:hi]
+        block += np.multiply.outer(np.log1p(-xs), n - m)
+    np.exp(block, out=block)
+    block[np.isnan(block)] = 1.0  # 0 * log(0) at x = 0 or 1: 0^0 = 1
+    return block
 
 
 def pmf_row(n: int, x: float) -> np.ndarray:
     """Binomial(n, x) pmf over m = 0..n as a read-only vector."""
-    x = require_probability(x, "x")
-    if x == 0.0 or x == 1.0:
-        row = np.zeros(n + 1, dtype=np.float64)
-        row[0 if x == 0.0 else n] = 1.0
-    else:
-        m = np.arange(n + 1, dtype=np.float64)
-        row = np.exp(_log_choose_row(n) + m * math.log(x) + (n - m) * math.log1p(-x))
+    row = _pmf_block(n, np.array([require_probability(x, "x")]), 0, n + 1)[0]
     row.setflags(write=False)
     return row
 
 
-def _tail_pair(row: np.ndarray, lo: int, x: float) -> tuple[float, float]:
-    # binomial_tail_pair on a prebuilt Binomial(len(row) - 1, x) row
-    n = len(row) - 1
-    if lo <= 0:
-        return 0.0, 1.0
-    if lo > n:
-        return 1.0, 0.0
-    if lo <= n * x:
-        below = math.fsum(row[:lo])
-        return below, 1.0 - below
-    above = math.fsum(row[lo:])
-    return 1.0 - above, above
+def mix(gains, xs) -> np.ndarray:
+    """sum_m g[m] * P[M = m] for M ~ Binomial(n, x), for each gain
+    sequence g over m = 0..n in gains, at every x in xs; the result has
+    shape (len(gains),) + np.shape(xs).
+
+    It is summed as g[-1] + sum_m (g[m] - g[-1]) * P[M = m]. At n = 10^6
+    a pmf row's mass misses 1 by up to 5e-10; a plain sum passes that on
+    in full, this one weighs it by each gain's distance from the last,
+    the regular game's gain once the quorum is met, where the mass sits.
+    """
+    flat = np.ravel(require_probability(xs, "x"))
+    n = len(gains[0]) - 1
+    out = np.zeros((len(gains), flat.size))
+    step = max(1, _BLOCK_ENTRIES // (n + 1))
+    for i in range(0, flat.size, step):
+        for lo in range(0, n + 1, _BLOCK_ENTRIES):
+            block = _pmf_block(n, flat[i : i + step], lo, lo + _BLOCK_ENTRIES)
+            for k, g in enumerate(gains):
+                # summed row by row, unlike a matrix product, so a point's
+                # value does not depend on the other points in its block
+                offsets = g[lo : lo + _BLOCK_ENTRIES] - g[-1]
+                out[k, i : i + step] += (block * offsets).sum(axis=1)
+    out += np.array([[g[-1]] for g in gains])
+    return out.reshape((len(gains),) + np.shape(xs))
 
 
 def binomial_tail_pair(n: int, lo: int, x: float) -> tuple[float, float]:
@@ -104,7 +133,16 @@ def binomial_tail_pair(n: int, lo: int, x: float) -> tuple[float, float]:
     summed term by term with math.fsum and the heavy side is its exact
     complement. lo <= 0 and lo > n give exact (0, 1) and (1, 0).
     """
-    return _tail_pair(pmf_row(n, x), lo, x)
+    row = pmf_row(n, x)
+    if lo <= 0:
+        return 0.0, 1.0
+    if lo > n:
+        return 1.0, 0.0
+    if lo <= n * x:
+        below = math.fsum(row[:lo])
+        return below, 1.0 - below
+    above = math.fsum(row[lo:])
+    return 1.0 - above, above
 
 
 def binomial_tail(n: int, lo: int, x: float) -> float:
@@ -144,42 +182,33 @@ class Bracket:
         return self.lo == self.hi
 
 
-def _scan(f: Callable[[float], float], grid_points: int) -> tuple[np.ndarray, list[float]]:
+def _scan(f: Callable, grid_points: int) -> tuple[np.ndarray, list[Bracket]]:
+    # f on the uniform grid over [0, 1], and the brackets find_brackets describes
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     xs = np.linspace(0.0, 1.0, grid_points)
-    ys: list[float] = []
-    for x in xs:
-        y = float(f(float(x)))
-        if math.isnan(y):
-            raise ValueError(f"f returned NaN at x={float(x)!r}")
-        ys.append(y)
-    return xs, ys
+    ys = np.broadcast_to(np.asarray(f(xs), dtype=np.float64), xs.shape)
+    nan = np.isnan(ys)
+    if nan.any():
+        raise ValueError(f"f returned NaN at x={float(xs[nan.argmax()])!r}")
+    sign = np.sign(ys)
+    brackets = []
+    for i in np.flatnonzero((sign == 0.0) | np.append(sign[:-1] * sign[1:] < 0.0, False)):
+        j = i if sign[i] == 0.0 else i + 1  # an exact zero is its own bracket
+        brackets.append(Bracket(float(xs[i]), float(xs[j]), float(ys[i]), float(ys[j])))
+    return ys, brackets
 
 
-def _brackets_from_scan(xs: np.ndarray, ys: list[float]) -> list["Bracket"]:
-    out: list[Bracket] = []
-    for i in range(len(ys) - 1):
-        y0, y1 = ys[i], ys[i + 1]
-        if y0 == 0.0:
-            out.append(Bracket(float(xs[i]), float(xs[i]), 0.0, 0.0))
-        elif (y0 < 0.0 < y1) or (y1 < 0.0 < y0):
-            out.append(Bracket(float(xs[i]), float(xs[i + 1]), y0, y1))
-    if ys[-1] == 0.0:
-        out.append(Bracket(float(xs[-1]), float(xs[-1]), 0.0, 0.0))
-    return out
-
-
-def find_brackets(f: Callable[[float], float], grid_points: int = 2048) -> list[Bracket]:
+def find_brackets(f: Callable, grid_points: int = 2048) -> list[Bracket]:
     """Scan f on a uniform grid over [0, 1] and collect root brackets.
 
-    Adjacent grid pairs with a strict sign change become brackets, and
-    grid values that are exactly zero become width-0 degenerate
-    brackets. A NaN from f raises ValueError; brackets come back in
-    ascending order.
+    f is called once, on the whole grid array, and returns one value
+    per grid point (or one value for all of them). Adjacent grid pairs
+    with a strict sign change become brackets, and grid values that are
+    exactly zero become width-0 degenerate brackets. A NaN from f raises
+    ValueError; brackets come back in ascending order.
     """
-    xs, ys = _scan(f, grid_points)
-    return _brackets_from_scan(xs, ys)
+    return _scan(f, grid_points)[1]
 
 
 def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-10) -> float:
@@ -189,8 +218,8 @@ def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-1
     final midpoint (or the exact zero if one is hit). Degenerate
     brackets are already roots.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if bracket.degenerate:
         return bracket.lo
     lo, hi, f_lo = bracket.lo, bracket.hi, bracket.f_lo

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _tail_pair, pmf_row, require_probability
+from .numerics import mix
 
 __all__ = [
     "TruthGameParams",
@@ -30,7 +30,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PayoffPair:
-    """Average volunteer and defector payoffs at one mixing point."""
+    """Average volunteer and defector payoffs at one mixing point or at each of an array."""
 
     volunteer_avg: float
     defector_avg: float
@@ -94,42 +94,38 @@ def individual_payoff_regular(
     return 1.0 if success else 1.0 - p.cost_failure
 
 
-def payoff_pair_regular(x: float, params: TruthGameParams) -> PayoffPair:
+def payoff_pair_regular(x, params: TruthGameParams) -> PayoffPair:
     """Average volunteer and defector payoffs when each of the other
-    n_regular-1 agents volunteers independently with probability x.
+    n_regular-1 agents volunteers independently with probability x
+    (a float, or an array of them for a PayoffPair of arrays).
 
-    Both come from one Binomial(n_regular-1, x) row of co-volunteer
-    counts M. A volunteer completes the quorum iff M >= threshold - 1,
-    and then also nets the reward share minus the funding fee,
-    shared_reward/(M+1) - shared_reward/n_regular. A defector needs
-    M >= threshold and pays the fee shared_reward/n_regular only on
+    Both are binomial mixtures over the co-volunteer count m. A
+    volunteer completes the quorum iff m >= threshold - 1, and then
+    also nets the reward share minus the funding fee,
+    shared_reward/(m+1) - shared_reward/n_regular. A defector needs
+    m >= threshold and pays the fee shared_reward/n_regular only on
     that success event.
     """
-    x = require_probability(x, "x")
     p = params
-    n_co = p.n_regular - 1
-    row = pmf_row(n_co, x)
-    fail, succ = _tail_pair(row, p.threshold - 1, x)
-    v = succ * (1.0 - p.cost_volunteer) + fail * (1.0 - p.cost_volunteer - p.cost_failure)
-    if p.shared_reward != 0.0:
-        m = np.arange(p.threshold - 1, n_co + 1, dtype=np.float64)
-        share = p.shared_reward / (m + 1.0) - p.shared_reward / p.n_regular
-        v = v + math.fsum(row[p.threshold - 1 :] * share)
-    fail, succ = _tail_pair(row, p.threshold, x)
-    d = succ + fail * (1.0 - p.cost_failure) - (p.shared_reward / p.n_regular) * succ
+    n, k, s = p.n_regular, p.threshold, p.shared_reward
+    volunteer = np.full(n, 1.0 - p.cost_volunteer - p.cost_failure)
+    volunteer[k - 1 :] = 1.0 - p.cost_volunteer + s / np.arange(k, n + 1.0) - s / n
+    defector = np.full(n, 1.0 - s / n)
+    defector[:k] = 1.0 - p.cost_failure
+    v, d = mix((volunteer, defector), x)
     return PayoffPair(v, d, v - d)
 
 
-def avg_payoff_volunteer(x: float, params: TruthGameParams) -> float:
+def avg_payoff_volunteer(x, params: TruthGameParams) -> float:
     """Expected payoff of a volunteer at mixing x; see payoff_pair_regular."""
     return payoff_pair_regular(x, params).volunteer_avg
 
 
-def avg_payoff_defector(x: float, params: TruthGameParams) -> float:
+def avg_payoff_defector(x, params: TruthGameParams) -> float:
     """Expected payoff of a defector at mixing x; see payoff_pair_regular."""
     return payoff_pair_regular(x, params).defector_avg
 
 
-def net_payoff_regular(x: float, params: TruthGameParams) -> float:
+def net_payoff_regular(x, params: TruthGameParams) -> float:
     """avg_payoff_volunteer(x) - avg_payoff_defector(x); zero at mixed equilibria."""
     return payoff_pair_regular(x, params).net

@@ -286,6 +286,8 @@ def test_flag_beats_config_beats_default(tmp_path, capsys):
         '{"strict_dominance": 1}',  # int is not a bool
         '[1, 2]',                  # not an object
         '{"sigma": 7',             # malformed JSON
+        '{"n": Infinity}',         # non-finite integer field
+        '{"tol": NaN}',            # non-finite tolerance
     ],
 )
 def test_config_file_validation(tmp_path, payload):
@@ -313,6 +315,8 @@ def test_config_file_missing(tmp_path):
         ("simulate", "--trials", "0"),
         ("curve", "--c", "nan"),            # non-finite cost
         ("equilibria", "--sigma", "inf"),   # non-finite reward
+        ("equilibria", "--tol", "nan"),     # non-finite tolerance
+        ("equilibria", "--tol", "inf"),
     ],
 )
 def test_invalid_parameters_exit_two(argv, tmp_path):

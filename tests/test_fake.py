@@ -3,6 +3,7 @@ turnout-averaged expectations in both tail modes."""
 
 import math
 
+import numpy as np
 import pytest
 
 from vodgame.fake import (
@@ -188,6 +189,9 @@ def test_rejects_bad_inputs():
         expected_fake_payoffs(0.5, 0.09, 0, BASELINE)
     with pytest.raises(ValueError):
         avg_payoff_fake_volunteer(0.5, -1, BASELINE)
+    for bad in (np.array([0.1, math.nan]), np.array([-0.5, 0.5])):
+        with pytest.raises(ValueError):
+            expected_fake_payoffs(bad, 0.09, 100, BASELINE)
 
 
 # ---------------------------------------------------------------- properties

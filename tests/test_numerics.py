@@ -17,6 +17,7 @@ from vodgame.numerics import (
     binomial_tail_pair,
     find_brackets,
     log_binomial_pmf,
+    mix,
     pmf_row,
     refine_root,
     require_probability,
@@ -107,6 +108,41 @@ def test_pmf_row_is_read_only():
     row = pmf_row(12, 0.4)
     with pytest.raises(ValueError):
         row[0] = 2.0
+
+
+def test_arrays_spanning_several_blocks_match_single_points():
+    """At 10^4 counts a pmf block holds the rows of 6 points, so 257
+    points span 43 blocks; every point must match its own single-float
+    evaluation."""
+    from vodgame.fake import FakeGameParams, expected_fake_payoffs
+    from vodgame.truth import TruthGameParams, payoff_pair_regular
+
+    xs = np.linspace(0.0, 1.0, 257)
+    truth = TruthGameParams(n_regular=10**4, threshold=60, shared_reward=500.0)
+    fake = FakeGameParams(n_fake=10**4)
+    for pair_at in (
+        lambda x: payoff_pair_regular(x, truth),
+        lambda x: expected_fake_payoffs(x, 0.3, 10**4, fake),
+    ):
+        arrays = pair_at(xs)
+        for i, x in enumerate(xs):
+            one = pair_at(float(x))
+            assert abs(arrays.volunteer_avg[i] - one.volunteer_avg) <= 1e-14
+            assert abs(arrays.defector_avg[i] - one.defector_avg) <= 1e-14
+            assert abs(arrays.net[i] - one.net) <= 1e-14
+
+
+@pytest.mark.parametrize("n,points", [(10**4, 257), (2 * 10**5 + 3, 5)])
+def test_mix_matches_sums_over_whole_pmf_rows(n, points):
+    """Block seams, between points at moderate n and within one row at
+    large n, leave each mixture equal to its sum over a whole pmf row."""
+    gains = np.random.default_rng(n).normal(size=(2, n + 1))
+    xs = np.linspace(0.0, 1.0, points)
+    got = mix(gains, xs)
+    for j, x in enumerate(xs):
+        row = pmf_row(n, float(x))
+        for k, g in enumerate(gains):
+            assert abs(got[k, j] - (g[-1] + math.fsum(row * (g - g[-1])))) <= 1e-13
 
 
 # ---------------------------------------------------------------- tails
@@ -257,7 +293,7 @@ def test_refine_root_degenerate_bracket_returns_point():
     "f",
     [
         lambda x: x**3 - 0.2,
-        lambda x: math.cos(3.0 * x) - 0.4,
+        lambda x: np.cos(3.0 * x) - 0.4,
         lambda x: 0.9 * (1.0 - x) ** 99 - 0.5,
     ],
 )
@@ -273,8 +309,9 @@ def test_refine_root_lands_inside_and_below_endpoint_values(f):
 
 def test_refine_root_rejects_nonpositive_tol():
     b = Bracket(0.0, 1.0, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        refine_root(lambda x: 2.0 * x - 1.0, b, tol=0.0)
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            refine_root(lambda x: 2.0 * x - 1.0, b, tol=tol)
 
 
 # ---------------------------------------------------------------- slopes

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from vodgame.oracle import enumerate_truth_exact
@@ -149,6 +150,9 @@ def test_rejects_out_of_range_mixing():
         net_payoff_regular(1.2, BASELINE)
     with pytest.raises(ValueError):
         avg_payoff_volunteer(-0.01, BASELINE)
+    for bad in (np.array([0.1, math.nan]), np.array([0.5, 1.2])):
+        with pytest.raises(ValueError):
+            payoff_pair_regular(bad, BASELINE)
 
 
 # ---------------------------------------------------------------- properties
