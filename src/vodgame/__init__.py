@@ -25,13 +25,9 @@ from .fake import (
     individual_payoff_fake,
 )
 from .numerics import (
-    Bracket,
     binomial_tail,
-    find_brackets,
     log_binomial_pmf,
-    refine_root,
     require_probability,
-    slope_at,
 )
 from .oracle import (
     SimResult,
@@ -53,7 +49,6 @@ from .truth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bracket",
     "CurveSample",
     "DEGENERATE",
     "Equilibrium",
@@ -74,19 +69,16 @@ __all__ = [
     "enumerate_truth_exact",
     "expected_fake_payoffs",
     "expected_net_payoff_fake",
-    "find_brackets",
     "find_equilibria",
     "individual_payoff_fake",
     "individual_payoff_regular",
     "log_binomial_pmf",
     "net_payoff_regular",
     "payoff_pair_regular",
-    "refine_root",
     "require_probability",
     "sample_curve",
     "simulate_fake",
     "simulate_truth",
-    "slope_at",
     "stable_equilibrium",
     "__version__",
 ]

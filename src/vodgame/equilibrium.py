@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .numerics import _scan, refine_root, require_probability, slope_at
+from .numerics import require_probability
 from .truth import PayoffPair, TruthGameParams, net_payoff_regular
 
 __all__ = [
@@ -25,6 +26,9 @@ __all__ = [
 STABLE = "stable"
 UNSTABLE = "unstable"
 DEGENERATE = "degenerate"
+
+_SLOPE_STEP = 1e-6  # half-width of the slope's central difference
+_SLOPE_EPSILON = 1e-9  # slopes within this of 0 classify as degenerate
 
 
 @dataclass(frozen=True)
@@ -62,44 +66,77 @@ class CurveSample:
     net: tuple[float, ...]
 
 
+def _values(net_fn: Callable, xs: np.ndarray) -> np.ndarray:
+    # net_fn at every x of xs (a scalar result counts for all of them)
+    ys = np.broadcast_to(np.asarray(net_fn(xs), dtype=np.float64), xs.shape)
+    nan = np.isnan(ys)
+    if nan.any():
+        raise ValueError(f"net_fn returned NaN at x={float(xs[nan.argmax()])!r}")
+    return ys
+
+
 def find_equilibria(
-    net_fn: Callable,
+    net_fn: Callable[[np.ndarray], np.ndarray],
     grid_points: int = 2048,
     tol: float = 1e-10,
-    *,
-    slope_epsilon: float = 1e-9,
-    slope_step: float = 1e-6,
 ) -> RegimeReport:
-    """Scan net_fn over [0, 1], refine every bracketed zero, and
-    classify each by the local slope.
+    """Scan net_fn over [0, 1], bisect every sign change to tol, and
+    classify each zero by the local slope.
 
-    The scan calls net_fn once on the whole grid array; refinement and
-    slopes call it on single floats, so it must accept both.
+    net_fn is called on float arrays only and returns one value per
+    entry (or one value for all): once on the uniform grid, once per
+    bisection step on the midpoints of every open bracket, and once for
+    all slopes. Grid values and midpoints that are exactly zero are
+    roots as they stand. Bisection stops at width tol or at float spacing.
 
-    Slope below -slope_epsilon means stable (deviations die out),
-    above +slope_epsilon unstable; anything inside the band, and any
-    exact zero at x=0 or x=1, is reported as degenerate.
+    The slope is a central difference at r +- 1e-6, cut at 0 and 1.
+    Below -1e-9 it means stable (deviations die out), above +1e-9
+    unstable; anything inside the band, and any exact zero at x=0 or
+    x=1, is reported as degenerate.
     """
-    ys, brackets = _scan(net_fn, grid_points)
+    if grid_points < 2:
+        raise ValueError("grid_points must be >= 2")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    xs = np.linspace(0.0, 1.0, grid_points)
+    ys = _values(net_fn, xs)
+    sign = np.sign(ys)
+    left = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    lo, hi = xs[left], xs[left + 1]
+    lo_negative = ys[left] < 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = np.flatnonzero((hi - lo > tol) & (lo < mid) & (mid < hi))
+        if live.size == 0:
+            break
+        mid = mid[live]
+        f_mid = _values(net_fn, mid)
+        up = (f_mid < 0.0) == lo_negative[live]
+        hit = f_mid == 0.0  # an exact zero closes its bracket on itself
+        lo[live] = np.where(up | hit, mid, lo[live])
+        hi[live] = np.where(up & ~hit, hi[live], mid)
+    found = np.sort(np.concatenate((xs[sign == 0.0], 0.5 * (lo + hi))))
     roots: list[float] = []
-    for bracket in brackets:
-        r = refine_root(net_fn, bracket, tol)
-        if roots and abs(r - roots[-1]) < tol:
-            continue
-        roots.append(r)
+    for r in found.tolist():
+        if not roots or abs(r - roots[-1]) >= tol:
+            roots.append(r)
 
     eqs = []
-    for r in roots:
-        slope = slope_at(net_fn, r, slope_step)
-        if r == 0.0 or r == 1.0:
-            stability = DEGENERATE
-        elif slope < -slope_epsilon:
-            stability = STABLE
-        elif slope > slope_epsilon:
-            stability = UNSTABLE
-        else:
-            stability = DEGENERATE
-        eqs.append(Equilibrium(r, slope, stability))
+    if roots:
+        r = np.array(roots)
+        below, above = np.maximum(r - _SLOPE_STEP, 0.0), np.minimum(r + _SLOPE_STEP, 1.0)
+        ends = _values(net_fn, np.concatenate((below, above)))
+        slopes = (ends[r.size :] - ends[: r.size]) / (above - below)
+        for x, slope in zip(roots, slopes.tolist()):
+            if x == 0.0 or x == 1.0:
+                stability = DEGENERATE
+            elif slope < -_SLOPE_EPSILON:
+                stability = STABLE
+            elif slope > _SLOPE_EPSILON:
+                stability = UNSTABLE
+            else:
+                stability = DEGENERATE
+            eqs.append(Equilibrium(x, slope, stability))
 
     interior = [e for e in eqs if not (e.x == 0.0 or e.x == 1.0)]
     if interior:

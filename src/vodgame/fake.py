@@ -95,10 +95,10 @@ def _gains(weights: np.ndarray, tail: TailMode, p: FakeGameParams) -> tuple[np.n
     # volunteer and defector gains over the focal agent's 0..n_fake-1
     # volunteering peers, averaged over the regular turnout M ~ weights.
     # Every M above n_fake loses for both roles; FULL adds that mass to the
-    # total, summed from the weights (a pmf row's mass misses 1 by ~3e-10
-    # at n_regular = 10^6)
+    # total, summed (pairwise) from the weights rather than taken as
+    # 1 - kept: a pmf row's mass misses 1 by ~3e-10 at n_regular = 10^6
     f = p.n_fake
-    above = math.fsum(weights[f + 1 :]) if tail is TailMode.FULL else 0.0
+    above = weights[f + 1 :].sum() if tail is TailMode.FULL else 0.0
     # below[i] = P[M < i] over M = 0..n_fake, for i = 0..n_fake + 1 at least
     below = np.cumsum(np.concatenate(([0.0], weights[: f + 1], np.zeros(f + 1))))
     total = below[-1] + above

@@ -1,5 +1,4 @@
-"""Binomial pmf rows, binomial mixtures and tails, and a deterministic
-bracketing root finder.
+"""Binomial pmf rows, binomial mixtures and tails.
 
 mix averages gain sequences against Binomial(n, x) pmf rows for a whole
 array of x at once. Tail probabilities are summed on the side of the
@@ -10,24 +9,18 @@ at-or-above) pair sums to 1.0 exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
-    "Bracket",
     "require_probability",
     "log_binomial_pmf",
     "pmf_row",
     "mix",
     "binomial_tail",
     "binomial_tail_pair",
-    "find_brackets",
-    "refine_root",
-    "slope_at",
 ]
 
 # pmf entries built at once (512 KB): a few grid points' rows at moderate
@@ -148,108 +141,3 @@ def binomial_tail_pair(n: int, lo: int, x: float) -> tuple[float, float]:
 def binomial_tail(n: int, lo: int, x: float) -> float:
     """P[M >= lo] for M ~ Binomial(n, x)."""
     return binomial_tail_pair(n, lo, x)[1]
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """Interval with recorded endpoint values, straddling a root.
-
-    Two valid shapes: a strict sign change (lo < hi and f_lo, f_hi of
-    opposite nonzero sign) or a degenerate exact zero (lo == hi and
-    both values 0.0).
-    """
-
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.f_lo) or math.isnan(self.f_hi):
-            raise ValueError("bracket endpoint values must not be NaN")
-        if self.lo == self.hi:
-            if self.f_lo != 0.0 or self.f_hi != 0.0:
-                raise ValueError("degenerate bracket requires f == 0 at the point")
-        elif self.lo < self.hi:
-            straddles = (self.f_lo < 0.0 < self.f_hi) or (self.f_hi < 0.0 < self.f_lo)
-            if not straddles:
-                raise ValueError("bracket endpoint values must have opposite signs")
-        else:
-            raise ValueError("need lo <= hi")
-
-    @property
-    def degenerate(self) -> bool:
-        return self.lo == self.hi
-
-
-def _scan(f: Callable, grid_points: int) -> tuple[np.ndarray, list[Bracket]]:
-    # f on the uniform grid over [0, 1], and the brackets find_brackets describes
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    xs = np.linspace(0.0, 1.0, grid_points)
-    ys = np.broadcast_to(np.asarray(f(xs), dtype=np.float64), xs.shape)
-    nan = np.isnan(ys)
-    if nan.any():
-        raise ValueError(f"f returned NaN at x={float(xs[nan.argmax()])!r}")
-    sign = np.sign(ys)
-    brackets = []
-    for i in np.flatnonzero((sign == 0.0) | np.append(sign[:-1] * sign[1:] < 0.0, False)):
-        j = i if sign[i] == 0.0 else i + 1  # an exact zero is its own bracket
-        brackets.append(Bracket(float(xs[i]), float(xs[j]), float(ys[i]), float(ys[j])))
-    return ys, brackets
-
-
-def find_brackets(f: Callable, grid_points: int = 2048) -> list[Bracket]:
-    """Scan f on a uniform grid over [0, 1] and collect root brackets.
-
-    f is called once, on the whole grid array, and returns one value
-    per grid point (or one value for all of them). Adjacent grid pairs
-    with a strict sign change become brackets, and grid values that are
-    exactly zero become width-0 degenerate brackets. A NaN from f raises
-    ValueError; brackets come back in ascending order.
-    """
-    return _scan(f, grid_points)[1]
-
-
-def refine_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-10) -> float:
-    """Shrink a bracket by bisection until its width is at most tol.
-
-    Deterministic, never evaluates outside the bracket, and returns the
-    final midpoint (or the exact zero if one is hit). Degenerate
-    brackets are already roots.
-    """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    if bracket.degenerate:
-        return bracket.lo
-    lo, hi, f_lo = bracket.lo, bracket.hi, bracket.f_lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # interval already at float-spacing resolution
-        f_mid = float(f(mid))
-        if math.isnan(f_mid):
-            raise ValueError(f"f returned NaN at x={mid!r}")
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def slope_at(f: Callable[[float], float], x: float, h: float = 1e-6) -> float:
-    """Finite-difference slope of f at x without leaving [0, 1].
-
-    Central difference where both offsets fit, one-sided within h of
-    either end.
-    """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    x = require_probability(x, "x")
-    if x - h >= 0.0 and x + h <= 1.0:
-        return (f(x + h) - f(x - h)) / (2.0 * h)
-    if x - h < 0.0:
-        return (f(x + h) - f(x)) / h
-    return (f(x) - f(x - h)) / h

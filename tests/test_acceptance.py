@@ -193,10 +193,7 @@ def _fake_curve_summary(mode: str):
     xs = np.linspace(0.0, 1.0, 4097)
     out = {}
     for p_star in (0.04, 0.06, 0.08, 0.10):
-        nets = [
-            expected_net_payoff_fake(float(xf), p_star, 100, fparams, tail)
-            for xf in xs
-        ]
+        nets = expected_net_payoff_fake(xs, p_star, 100, fparams, tail)
         best = int(np.argmax(nets))
         report = find_equilibria(
             lambda xf: expected_net_payoff_fake(xf, p_star, 100, fparams, tail)

@@ -100,6 +100,23 @@ def test_grid_too_small_rejected():
         find_equilibria(lambda x: x - 0.5, grid_points=1)
 
 
+def test_net_fn_is_called_on_arrays_only():
+    sizes = []
+
+    def net(x):
+        if not isinstance(x, np.ndarray):
+            raise TypeError(f"expected an array, got {type(x).__name__}")
+        sizes.append(x.size)
+        return net_payoff_regular(x, BASELINE)
+
+    report = find_equilibria(net)
+    assert report == find_equilibria(truth_net(BASELINE))
+    assert [e.stability for e in report.equilibria] == [UNSTABLE, STABLE]
+    # one grid call, one call per bisection step for both roots, one for the slopes
+    assert sizes[0] == 2048 and sizes[-1] == 4
+    assert len(sizes) <= 30
+
+
 # ---------------------------------------------------------------- stable root
 
 

@@ -1,4 +1,4 @@
-"""Tests for the binomial kernels and the bracketing root finder.
+"""Tests for the binomial kernels and the root finder in find_equilibria.
 
 The pmf and tail checks are anchored to exact rational arithmetic
 (math.comb plus Fraction on the binary value of x), so nothing here
@@ -11,17 +11,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from vodgame.equilibrium import DEGENERATE, UNSTABLE, find_equilibria
 from vodgame.numerics import (
-    Bracket,
     binomial_tail,
     binomial_tail_pair,
-    find_brackets,
     log_binomial_pmf,
     mix,
     pmf_row,
-    refine_root,
     require_probability,
-    slope_at,
 )
 
 
@@ -210,83 +207,78 @@ def test_require_probability_rejects(bad):
         require_probability(bad)
 
 
-def test_bracket_rejects_same_sign_endpoints():
-    with pytest.raises(ValueError):
-        Bracket(0.0, 1.0, 1.0, 2.0)
-
-
-def test_bracket_rejects_reversed_interval():
-    with pytest.raises(ValueError):
-        Bracket(0.7, 0.2, -1.0, 1.0)
-
-
-def test_bracket_degenerate_requires_zero_value():
-    with pytest.raises(ValueError):
-        Bracket(0.5, 0.5, 0.1, 0.1)
-    b = Bracket(0.5, 0.5, 0.0, 0.0)
-    assert b.degenerate
-
-
 # ---------------------------------------------------------------- bracketing
+#
+# The grid scan, bisection and slopes all live in find_equilibria, which
+# calls the curve on float arrays only.
+
+
+def roots(f, **kwargs):
+    return [e.x for e in find_equilibria(f, **kwargs).equilibria]
 
 
 def test_find_brackets_linear():
-    brackets = find_brackets(lambda x: x - 0.3, grid_points=64)
-    assert len(brackets) == 1
-    (b,) = brackets
-    assert b.lo < 0.3 < b.hi
+    report = find_equilibria(lambda x: x - 0.3, grid_points=64)
+    (e,) = report.equilibria
+    assert 18 / 63 <= e.x <= 19 / 63
+    assert e.x == pytest.approx(0.3, abs=1e-10)
+    assert e.stability == UNSTABLE
 
 
 def test_find_brackets_constant_sign_yields_none():
-    assert find_brackets(lambda x: 1.0 + x, grid_points=32) == []
-    assert find_brackets(lambda x: -0.5, grid_points=32) == []
+    assert find_equilibria(lambda x: 1.0 + x, grid_points=32).equilibria == ()
+    # a constant callable may return one scalar for the whole array
+    assert find_equilibria(lambda x: -0.5, grid_points=32).equilibria == ()
 
 
 def test_find_brackets_exact_grid_zero_is_degenerate():
     # grid {0, 0.25, 0.5, 0.75, 1} hits the root of x - 0.25 exactly
-    brackets = find_brackets(lambda x: x - 0.25, grid_points=5)
-    assert len(brackets) == 1
-    assert brackets[0].degenerate
-    assert brackets[0].lo == 0.25
+    assert roots(lambda x: x - 0.25, grid_points=5) == [0.25]
 
 
 def test_find_brackets_two_roots_ascending():
     f = lambda x: (x - 0.2) * (x - 0.7)  # noqa: E731
-    brackets = find_brackets(f, grid_points=256)
-    assert len(brackets) == 2
-    assert brackets[0].hi <= brackets[1].lo
+    found = roots(f, grid_points=256)
+    assert found == pytest.approx([0.2, 0.7], abs=1e-10)
+    assert found[0] < found[1]
+    # roots closer together than tol are reported once, at the lower one
+    (merged,) = roots(f, grid_points=256, tol=0.6)
+    assert merged == pytest.approx(0.2, abs=1 / 255)
 
 
 def test_find_brackets_rejects_nan():
     with pytest.raises(ValueError):
-        find_brackets(lambda x: math.nan, grid_points=16)
+        find_equilibria(lambda x: math.nan, grid_points=16)
+    # finite on the grid, NaN at the first bisection midpoint
+    f = lambda x: x - 0.3 if x.size == 16 else np.full(x.shape, math.nan)  # noqa: E731
+    with pytest.raises(ValueError):
+        find_equilibria(f, grid_points=16)
 
 
 def test_find_brackets_rejects_tiny_grid():
-    with pytest.raises(ValueError):
-        find_brackets(lambda x: x, grid_points=1)
+    for grid_points in (1, 0):
+        with pytest.raises(ValueError):
+            find_equilibria(lambda x: x, grid_points=grid_points)
 
 
 # ---------------------------------------------------------------- refinement
 
 
 def test_refine_root_linear():
-    f = lambda x: x - 1.0 / 3.0  # noqa: E731
-    (b,) = find_brackets(f, grid_points=128)
-    assert refine_root(f, b, tol=1e-12) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    (r,) = roots(lambda x: x - 1.0 / 3.0, grid_points=128, tol=1e-12)
+    assert r == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_refine_root_classic_dilemma_closed_form():
     # alpha*(1-x)^(n-1) - c with n=100, c=0.5, alpha=0.9
     f = lambda x: 0.9 * (1.0 - x) ** 99 - 0.5  # noqa: E731
-    (b,) = find_brackets(f, grid_points=2048)
-    root = refine_root(f, b, tol=1e-12)
-    assert root == pytest.approx(1.0 - (0.5 / 0.9) ** (1.0 / 99.0), abs=1e-10)
+    (r,) = roots(f, grid_points=2048, tol=1e-12)
+    assert r == pytest.approx(1.0 - (0.5 / 0.9) ** (1.0 / 99.0), abs=1e-10)
 
 
 def test_refine_root_degenerate_bracket_returns_point():
-    b = Bracket(0.25, 0.25, 0.0, 0.0)
-    assert refine_root(lambda x: x - 0.25, b) == 0.25
+    # grid {0, 0.25, 0.5, 0.75, 1}: the first midpoint of [0.25, 0.5] is the root
+    assert roots(lambda x: x - 0.375, grid_points=5) == [0.375]
 
 
 @pytest.mark.parametrize(
@@ -298,49 +290,54 @@ def test_refine_root_degenerate_bracket_returns_point():
     ],
 )
 def test_refine_root_lands_inside_and_below_endpoint_values(f):
-    """Result sits in the original bracket with |f| no worse than either end."""
-    for b in find_brackets(f, grid_points=512):
-        r = refine_root(f, b, tol=1e-10)
-        assert b.lo <= r <= b.hi
-        fr = abs(f(r))
-        assert fr <= abs(b.f_lo)
-        assert fr <= abs(b.f_hi)
+    """Each root sits between its neighbouring grid points with |f| no
+    worse than at either of them."""
+    xs = np.linspace(0.0, 1.0, 512)
+    found = roots(f, grid_points=512, tol=1e-10)
+    assert found
+    for r in found:
+        i = int(np.searchsorted(xs, r))
+        lo, hi = xs[i - 1], xs[i]
+        assert lo <= r <= hi
+        f_r, f_lo, f_hi = np.abs(f(np.array([r, lo, hi])))
+        assert f_r <= f_lo
+        assert f_r <= f_hi
 
 
 def test_refine_root_rejects_nonpositive_tol():
-    b = Bracket(0.0, 1.0, -1.0, 1.0)
-    for tol in (0.0, math.nan, math.inf):
+    for tol in (0.0, -1e-3, math.nan, math.inf):
         with pytest.raises(ValueError):
-            refine_root(lambda x: 2.0 * x - 1.0, b, tol=tol)
+            find_equilibria(lambda x: 2.0 * x - 1.0, tol=tol)
 
 
 # ---------------------------------------------------------------- slopes
 
 
 def test_slope_of_linear_function():
-    assert slope_at(lambda x: 3.0 * x, 0.5) == pytest.approx(3.0, abs=1e-6)
+    (e,) = find_equilibria(lambda x: 3.0 * x - 1.5).equilibria
+    assert e.slope == pytest.approx(3.0, abs=1e-6)
 
 
 def test_slope_of_constant_is_zero():
-    assert slope_at(lambda x: 4.2, 0.5) == 0.0
+    # an identically zero curve: every grid point is a root with slope 0
+    report = find_equilibria(lambda x: 0.0, grid_points=5)
+    assert [e.x for e in report.equilibria] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert all(e.slope == 0.0 for e in report.equilibria)
+    assert all(e.stability == DEGENERATE for e in report.equilibria)
 
 
 def test_slope_one_sided_at_domain_ends():
-    f = lambda x: 3.0 * x + 1.0  # noqa: E731
-    assert slope_at(f, 0.0) == pytest.approx(3.0, abs=1e-6)
-    assert slope_at(f, 1.0) == pytest.approx(3.0, abs=1e-6)
+    # each root lies within the 1e-6 difference step of 0 or 1
+    for shift in (0.0, 1e-7, 3.0 - 1e-7, 3.0):
+        (e,) = find_equilibria(lambda x: 3.0 * x - shift).equilibria
+        assert min(e.x, 1.0 - e.x) < 1e-6
+        assert e.slope == pytest.approx(3.0, abs=1e-6)
 
 
 def test_slope_negative_at_larger_equilibrium_of_payoff_curve():
     from vodgame.truth import TruthGameParams, net_payoff_regular
 
     params = TruthGameParams()
-    f = lambda x: net_payoff_regular(x, params)  # noqa: E731
-    roots = [refine_root(f, b) for b in find_brackets(f)]
-    assert len(roots) == 2
-    assert slope_at(f, roots[-1]) < 0.0
-
-
-def test_slope_rejects_nonpositive_step():
-    with pytest.raises(ValueError):
-        slope_at(lambda x: x, 0.5, h=0.0)
+    report = find_equilibria(lambda x: net_payoff_regular(x, params))
+    assert len(report.equilibria) == 2
+    assert report.equilibria[-1].slope < 0.0
