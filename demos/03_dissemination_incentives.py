@@ -10,12 +10,14 @@ several values of p* and under both turnout-averaging modes.
 Run: python3 demos/03_dissemination_incentives.py
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from vodgame import (
     FakeGameParams,
     TailMode,
-    binomial_tail,
     expected_net_payoff_fake,
     find_equilibria,
 )
@@ -55,11 +57,14 @@ print()
 
 # The two modes differ by a known closed form: truncation discards the
 # turnouts above the fake group size, where the push surely fails and a
-# participant is down by exactly the entry cost.
+# participant is down by exactly the entry cost. P[turnout > n_fake] is
+# summed here in exact rationals, independently of the payoff kernel.
 p_star, x_f = 0.08, 0.4
 gap = expected_net_payoff_fake(
     x_f, p_star, N, fparams, TailMode.TRUNCATED
 ) - expected_net_payoff_fake(x_f, p_star, N, fparams, TailMode.FULL)
-predicted = fparams.cost_volunteer_fake * binomial_tail(N, fparams.n_fake + 1, p_star)
+p = Fraction(p_star)
+kept = sum(math.comb(N, m) * p**m * (1 - p) ** (N - m) for m in range(fparams.n_fake + 1))
+predicted = fparams.cost_volunteer_fake * float(1 - kept)
 print(f"tail gap at p*={p_star}, x_f={x_f}: {gap:.12f}")
 print(f"cost * P[turnout > {fparams.n_fake}]:    {predicted:.12f}")

@@ -24,11 +24,7 @@ from .fake import (
     expected_net_payoff_fake,
     individual_payoff_fake,
 )
-from .numerics import (
-    binomial_tail,
-    log_binomial_pmf,
-    require_probability,
-)
+from .numerics import require_probability
 from .oracle import (
     SimResult,
     enumerate_fake_exact,
@@ -64,7 +60,6 @@ __all__ = [
     "avg_payoff_fake_defector",
     "avg_payoff_fake_volunteer",
     "avg_payoff_volunteer",
-    "binomial_tail",
     "enumerate_fake_exact",
     "enumerate_truth_exact",
     "expected_fake_payoffs",
@@ -72,7 +67,6 @@ __all__ = [
     "find_equilibria",
     "individual_payoff_fake",
     "individual_payoff_regular",
-    "log_binomial_pmf",
     "net_payoff_regular",
     "payoff_pair_regular",
     "require_probability",

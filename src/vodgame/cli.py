@@ -71,15 +71,6 @@ class RunConfig:
     allow_nonstandard: bool = False
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """base with swept_name set to each of swept_values in turn."""
-
-    base: RunConfig
-    swept_name: str
-    swept_values: tuple[float, ...]
-
-
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
@@ -253,25 +244,16 @@ def _parse_sweep_values(param: str, raw: str) -> tuple:
     return tuple(float(piece) for piece in items)
 
 
-def make_sweep_spec(cfg: RunConfig, param: str, raw_values: str) -> SweepSpec:
-    allowed = TRUTH_SWEEPABLE if cfg.model == "truth" else FAKE_SWEEPABLE
-    if param not in allowed:
-        raise ValueError(
-            f"cannot sweep {param!r} in the {cfg.model} model; "
-            f"choose one of {', '.join(allowed)}"
-        )
-    return SweepSpec(cfg, param, _parse_sweep_values(param, raw_values))
-
-
-def run_sweep(spec: SweepSpec):
-    """Evaluate the curve and the equilibria at every swept value.
+def run_sweep(base: RunConfig, name: str, values: tuple):
+    """Evaluate the curve and the equilibria of base with the field
+    name set to each of values in turn.
 
     Returns a list of (value, CurveSample, RegimeReport) in the order
-    of spec.swept_values.
+    of values.
     """
     results = []
-    for value in spec.swept_values:
-        cfg = replace(spec.base, **{spec.swept_name: value})
+    for value in values:
+        cfg = replace(base, **{name: value})
         pair = _pair_fn(cfg)
         sample = sample_curve(pair, (cfg.xmin, cfg.xmax), cfg.points)
         report = find_equilibria(lambda x: pair(x).net, cfg.grid, cfg.tol)
@@ -307,8 +289,14 @@ def _summary_path(path: str) -> str:
 def cmd_sweep(cfg: RunConfig, param: str, raw_values: str, out: str | None) -> int:
     if not out or out == "-":
         raise ValueError("sweep writes two files; pass --out PATH for the long CSV")
-    spec = make_sweep_spec(cfg, param, raw_values)
-    long_csv, summary_csv = _sweep_csvs(param, run_sweep(spec))
+    allowed = TRUTH_SWEEPABLE if cfg.model == "truth" else FAKE_SWEEPABLE
+    if param not in allowed:
+        raise ValueError(
+            f"cannot sweep {param!r} in the {cfg.model} model; "
+            f"choose one of {', '.join(allowed)}"
+        )
+    results = run_sweep(cfg, param, _parse_sweep_values(param, raw_values))
+    long_csv, summary_csv = _sweep_csvs(param, results)
     _write_text(out, long_csv)
     _write_text(_summary_path(out), summary_csv)
     return 0
@@ -359,8 +347,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 _REPRO_POINTS = 201
 
 
-def _fmt6(v: float) -> str:
-    return f"{v:.6f}"
+def _fmt6(v: float | None) -> str:
+    return "none" if v is None else f"{v:.6f}"
 
 
 def _check_line(label: str, ok: bool, detail: str = "") -> str:
@@ -368,66 +356,33 @@ def _check_line(label: str, ok: bool, detail: str = "") -> str:
     return f"check {label}: {status}" + (f" ({detail})" if detail else "")
 
 
-def _strictly_increasing(seq) -> bool:
-    return all(a < b for a, b in zip(seq, seq[1:]))
+def _monotone_check(label: str, values: list, decreasing: bool = False) -> str:
+    """The check line that values are all found and strictly rise (or fall)."""
+    steps = zip(values, values[1:])
+    ok = None not in values and all(b < a if decreasing else a < b for a, b in steps)
+    found = [_fmt6(v) for v in values if v is not None]
+    return _check_line(label, ok, (" > " if decreasing else " < ").join(found))
 
 
-def _strictly_decreasing(seq) -> bool:
-    return all(a > b for a, b in zip(seq, seq[1:]))
-
-
-def _reproduce_sweep(base: RunConfig, swept_name: str, values: tuple, prefix: str):
-    """Run one figure's sweep; return its results and its two CSV files."""
-    results = run_sweep(SweepSpec(base, swept_name, values))
-    curves, summary = _sweep_csvs(swept_name, results)
-    return results, {f"{prefix}_curves.csv": curves, f"{prefix}_summary.csv": summary}
-
-
-def _reproduce_fig1(base: RunConfig) -> dict[str, str]:
-    results, files = _reproduce_sweep(base, "sigma", (5.0, 6.0, 7.0, 8.0), "fig1")
-
-    lines = [
-        "validation game, net payoff of volunteering across the shared reward",
-        "n=100, threshold=6, cost_volunteer=0.5, cost_failure=0.9, sigma in {5, 6, 7, 8}",
-        "",
-    ]
+def _fig1_lines(cfg: RunConfig, results) -> list[str]:
+    lines = []
     pair_ok = True
     stables = []
     for value, _, report in results:
         unstable, stable = _roots_summary(report)
-        interior = [e for e in report.equilibria if e.stability != DEGENERATE]
-        pair_ok = pair_ok and (
-            len(interior) == 2
-            and interior[0].stability == UNSTABLE
-            and interior[1].stability == STABLE
-        )
+        interior = [e.stability for e in report.equilibria if e.stability != DEGENERATE]
+        pair_ok = pair_ok and interior == [UNSTABLE, STABLE]
         stables.append(stable)
-        lines.append(
-            f"sigma={value:g}: unstable x={_fmt6(unstable) if unstable is not None else 'none'}, "
-            f"stable x={_fmt6(stable) if stable is not None else 'none'}"
-        )
-    lines.append("")
-    lines.append(_check_line("two interior equilibria at every reward, smaller unstable", pair_ok))
-    inc_ok = all(s is not None for s in stables) and _strictly_increasing(stables)
-    lines.append(
-        _check_line(
-            "stable equilibrium strictly increasing in the reward",
-            inc_ok,
-            " < ".join(_fmt6(s) for s in stables if s is not None),
-        )
-    )
-    files["fig1_report.txt"] = "\n".join(lines) + "\n"
-    return files
-
-
-def _reproduce_fig2(base: RunConfig) -> dict[str, str]:
-    results, files = _reproduce_sweep(base, "k", (5, 6, 7, 8), "fig2")
-
-    lines = [
-        "validation game, net payoff of volunteering across the success threshold",
-        "n=100, cost_volunteer=0.5, cost_failure=0.9, shared_reward=5, k in {5, 6, 7, 8}",
+        lines.append(f"sigma={value:g}: unstable x={_fmt6(unstable)}, stable x={_fmt6(stable)}")
+    return lines + [
         "",
+        _check_line("two interior equilibria at every reward, smaller unstable", pair_ok),
+        _monotone_check("stable equilibrium strictly increasing in the reward", stables),
     ]
+
+
+def _fig2_lines(cfg: RunConfig, results) -> list[str]:
+    lines = []
     unstables = {}
     stables = {}
     for value, sample, report in results:
@@ -442,106 +397,112 @@ def _reproduce_fig2(base: RunConfig) -> dict[str, str]:
         else:
             unstables[value] = unstable
             stables[value] = stable
-            lines.append(
-                f"k={value}: unstable x={_fmt6(unstable)}, stable x={_fmt6(stable)}"
-            )
-    lines.append("")
-    in_band = bool(stables) and all(0.07 <= s <= 0.11 for s in stables.values())
-    lines.append(
-        _check_line(
-            "stable equilibrium inside [0.07, 0.11] at every threshold that has one",
-            in_band,
-            ", ".join(f"k={k}: {_fmt6(s)}" for k, s in sorted(stables.items())),
-        )
-    )
+            lines.append(f"k={value}: unstable x={_fmt6(unstable)}, stable x={_fmt6(stable)}")
     spread_u = max(unstables.values()) - min(unstables.values()) if unstables else 0.0
     spread_s = max(stables.values()) - min(stables.values()) if stables else 0.0
-    lines.append(
+    lines += [
+        "",
+        _check_line(
+            "stable equilibrium inside [0.07, 0.11] at every threshold that has one",
+            bool(stables) and all(0.07 <= s <= 0.11 for s in stables.values()),
+            ", ".join(f"k={k}: {_fmt6(s)}" for k, s in sorted(stables.items())),
+        ),
         _check_line(
             "unstable equilibrium moves more across thresholds than the stable one",
             spread_u > spread_s,
             f"spread {_fmt6(spread_u)} vs {_fmt6(spread_s)}",
-        )
-    )
-    missing = [value for value, _, report in results if _roots_summary(report)[1] is None]
+        ),
+    ]
+    missing = [value for value, _, _ in results if value not in stables]
     if missing:
         lines.append(
             "note: no interior equilibrium at "
             + ", ".join(f"k={value}" for value in missing)
             + "; the reward cannot sustain volunteering there"
         )
-    files["fig2_report.txt"] = "\n".join(lines) + "\n"
-    return files
+    return lines
 
 
-def _reproduce_fig3(base: RunConfig) -> dict[str, str]:
-    base = replace(base, model="fake")
-    params = _fake_params(base)
+def _fig3_lines(cfg: RunConfig, results) -> list[str]:
     xs = np.linspace(0.0, 1.0, 4097)  # where the max net is looked up
-    files: dict[str, str] = {}
-    lines = [
-        "dissemination game, expected net payoff of pushing a fake item",
-        "n=100, n_fake=8, cost_volunteer_fake=0.1, cost_failure=0.9, "
-        "pstar in {0.04, 0.06, 0.08, 0.10}, both turnout-averaging modes",
+    params = _fake_params(cfg)
+    lines = [f"[{cfg.tail}]"]
+    maxima = []
+    crossings = []
+    for p_star, _, report in results:
+        nets = expected_net_payoff_fake(xs, p_star, cfg.n, params, TailMode(cfg.tail))
+        best = int(np.argmax(nets))
+        maxima.append(float(nets[best]))
+        crossings.append(report.equilibria[0].x if report.equilibria else None)
+        lines.append(
+            f"pstar={p_star:g}: max net {_fmt6(maxima[-1])} at x_f={_fmt6(xs[best])}, "
+            "first crossing "
+            + (f"x_f={_fmt6(crossings[-1])}" if crossings[-1] is not None else "none")
+        )
+    ratio = maxima[0] / maxima[-1] if maxima[-1] != 0.0 else math.inf
+    return lines + [
+        _monotone_check(
+            f"max net strictly decreasing in pstar [{cfg.tail}]", maxima, decreasing=True
+        ),
+        _monotone_check(f"first crossing strictly increasing in pstar [{cfg.tail}]", crossings),
+        f"max-net ratio pstar=0.04 over pstar=0.10 [{cfg.tail}]: {ratio:.3f}",
         "",
     ]
-    for mode in ("full", "truncated"):
-        results, csvs = _reproduce_sweep(
-            replace(base, tail=mode), "pstar", (0.04, 0.06, 0.08, 0.10), f"fig3_{mode}"
-        )
-        files.update(csvs)
-        maxima = []
-        crossings = []
-        lines.append(f"[{mode}]")
-        for p_star, _, report in results:
-            nets = expected_net_payoff_fake(xs, p_star, base.n, params, TailMode(mode))
-            best = int(np.argmax(nets))
-            max_net, argmax_x = float(nets[best]), float(xs[best])
-            first = report.equilibria[0].x if report.equilibria else None
-            crossings.append(first)
-            maxima.append(max_net)
-            lines.append(
-                f"pstar={p_star:g}: max net {_fmt6(max_net)} at x_f={_fmt6(argmax_x)}, "
-                f"first crossing "
-                + (f"x_f={_fmt6(first)}" if first is not None else "none")
-            )
-        lines.append(
-            _check_line(
-                f"max net strictly decreasing in pstar [{mode}]",
-                _strictly_decreasing(maxima),
-                " > ".join(_fmt6(m) for m in maxima),
-            )
-        )
-        cross_ok = all(c is not None for c in crossings) and _strictly_increasing(crossings)
-        lines.append(
-            _check_line(
-                f"first crossing strictly increasing in pstar [{mode}]",
-                cross_ok,
-                " < ".join(_fmt6(c) for c in crossings if c is not None),
-            )
-        )
-        ratio = maxima[0] / maxima[-1] if maxima[-1] != 0.0 else math.inf
-        lines.append(
-            f"max-net ratio pstar=0.04 over pstar=0.10 [{mode}]: {ratio:.3f}"
-        )
-        lines.append("")
-    files["fig3_report.txt"] = "\n".join(lines) + "\n"
-    return files
+
+
+# figure -> (title lines, swept field, swept values, report lines of one
+# sweep, the sweeps as file prefix -> RunConfig overrides)
+_FIGURES = {
+    "fig1": (
+        (
+            "validation game, net payoff of volunteering across the shared reward",
+            "n=100, threshold=6, cost_volunteer=0.5, cost_failure=0.9, sigma in {5, 6, 7, 8}",
+        ),
+        "sigma",
+        (5.0, 6.0, 7.0, 8.0),
+        _fig1_lines,
+        {"fig1": {}},
+    ),
+    "fig2": (
+        (
+            "validation game, net payoff of volunteering across the success threshold",
+            "n=100, cost_volunteer=0.5, cost_failure=0.9, shared_reward=5, k in {5, 6, 7, 8}",
+        ),
+        "k",
+        (5, 6, 7, 8),
+        _fig2_lines,
+        {"fig2": {}},
+    ),
+    "fig3": (
+        (
+            "dissemination game, expected net payoff of pushing a fake item",
+            "n=100, n_fake=8, cost_volunteer_fake=0.1, cost_failure=0.9, "
+            "pstar in {0.04, 0.06, 0.08, 0.10}, both turnout-averaging modes",
+        ),
+        "pstar",
+        (0.04, 0.06, 0.08, 0.10),
+        _fig3_lines,
+        {f"fig3_{tail}": {"model": "fake", "tail": tail} for tail in ("full", "truncated")},
+    ),
+}
 
 
 def cmd_reproduce(figure: str, out_dir: str | None, grid: int, tol: float) -> int:
     if not out_dir:
         raise ValueError("reproduce writes several files; pass --out DIRECTORY")
-    builders = {
-        "fig1": _reproduce_fig1,
-        "fig2": _reproduce_fig2,
-        "fig3": _reproduce_fig3,
-    }
-    files = builders[figure](RunConfig(points=_REPRO_POINTS, grid=grid, tol=tol))
+    title, name, values, report_lines, sweeps = _FIGURES[figure]
+    base = RunConfig(points=_REPRO_POINTS, grid=grid, tol=tol)
+    files = {}
+    lines = [*title, ""]
+    for prefix, overrides in sweeps.items():
+        cfg = replace(base, **overrides)
+        results = run_sweep(cfg, name, values)
+        files[f"{prefix}_curves.csv"], files[f"{prefix}_summary.csv"] = _sweep_csvs(name, results)
+        lines += report_lines(cfg, results)
+    files[f"{figure}_report.txt"] = "\n".join(lines) + "\n"
     os.makedirs(out_dir, exist_ok=True)
-    for name, content in sorted(files.items()):
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
+    for file_name, content in sorted(files.items()):
+        _write_text(os.path.join(out_dir, file_name), content)
     return 0
 
 

@@ -1,27 +1,17 @@
-"""Binomial pmf rows, binomial mixtures and tails.
+"""Binomial pmf rows and binomial mixtures.
 
 mix averages gain sequences against Binomial(n, x) pmf rows for a whole
-array of x at once. Tail probabilities are summed on the side of the
-distribution that carries less mass and complemented, so each (below,
-at-or-above) pair sums to 1.0 exactly.
+array of x at once; pmf_row is the row at one x.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
 
-__all__ = [
-    "require_probability",
-    "log_binomial_pmf",
-    "pmf_row",
-    "mix",
-    "binomial_tail",
-    "binomial_tail_pair",
-]
+__all__ = ["require_probability", "pmf_row", "mix"]
 
 # pmf entries built at once (512 KB): a few grid points' rows at moderate
 # n, a piece of one row at large n, so no temporary grows with n or the grid
@@ -43,27 +33,6 @@ def require_probability(value, name: str = "probability"):
     if not ok:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return v
-
-
-def log_binomial_pmf(n: int, m: int, x: float) -> float:
-    """log P[M = m] for M ~ Binomial(n, x).
-
-    Edge cases are exact rather than produced by 0 * log(0): at x = 0
-    the mass sits entirely on m = 0, at x = 1 entirely on m = n, and
-    the log is 0.0 there and -inf elsewhere (the 0^0 = 1 convention).
-    The lgamma form keeps n around 10^6 finite in log space.
-    """
-    if n < 0 or m < 0 or m > n:
-        raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
-    x = require_probability(x, "x")
-    if x == 0.0:
-        return 0.0 if m == 0 else -math.inf
-    if x == 1.0:
-        return 0.0 if m == n else -math.inf
-    log_choose = (
-        math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
-    )
-    return log_choose + m * math.log(x) + (n - m) * math.log1p(-x)
 
 
 @lru_cache(maxsize=32)
@@ -117,27 +86,3 @@ def mix(gains, xs) -> np.ndarray:
                 out[k, i : i + step] += (block * offsets).sum(axis=1)
     out += np.array([[g[-1]] for g in gains])
     return out.reshape((len(gains),) + np.shape(xs))
-
-
-def binomial_tail_pair(n: int, lo: int, x: float) -> tuple[float, float]:
-    """(P[M < lo], P[M >= lo]) for M ~ Binomial(n, x).
-
-    The light side (at most half the mass, judged by the mean n*x) is
-    summed term by term with math.fsum and the heavy side is its exact
-    complement. lo <= 0 and lo > n give exact (0, 1) and (1, 0).
-    """
-    row = pmf_row(n, x)
-    if lo <= 0:
-        return 0.0, 1.0
-    if lo > n:
-        return 1.0, 0.0
-    if lo <= n * x:
-        below = math.fsum(row[:lo])
-        return below, 1.0 - below
-    above = math.fsum(row[lo:])
-    return 1.0 - above, above
-
-
-def binomial_tail(n: int, lo: int, x: float) -> float:
-    """P[M >= lo] for M ~ Binomial(n, x)."""
-    return binomial_tail_pair(n, lo, x)[1]

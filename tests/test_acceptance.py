@@ -13,6 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from exact_binomial import exact_tail_above
 
 from vodgame.cli import main
 from vodgame.equilibrium import (
@@ -26,7 +27,6 @@ from vodgame.fake import (
     TailMode,
     expected_net_payoff_fake,
 )
-from vodgame.numerics import binomial_tail
 from vodgame.oracle import (
     enumerate_fake_exact,
     enumerate_truth_exact,
@@ -243,7 +243,7 @@ def test_c10_tail_mode_identity():
     20-point grid."""
     fparams = FakeGameParams()
     for p_star in (0.04, 0.06, 0.08, 0.10):
-        discarded = binomial_tail(100, fparams.n_fake + 1, p_star)
+        discarded = exact_tail_above(100, fparams.n_fake, p_star)
         for x_f in (0.1, 0.3, 0.5, 0.7, 0.9):
             gap = expected_net_payoff_fake(
                 x_f, p_star, 100, fparams, TailMode.TRUNCATED

@@ -258,6 +258,71 @@ def test_reproduce_threshold_family_reports_the_gap(tmp_path):
     assert "PASS" in report
 
 
+def reproduce_report(tmp_path, figure, *flags):
+    out = tmp_path / figure
+    assert run_cli("reproduce", figure, "--out", str(out), *flags) == 0
+    return (out / f"{figure}_report.txt").read_text(encoding="utf-8").splitlines()
+
+
+def check_lines(report):
+    return [line for line in report if line.startswith("check ")]
+
+
+@pytest.mark.parametrize(
+    "figure,checks",
+    [
+        (
+            "fig1",
+            [
+                "two interior equilibria at every reward, smaller unstable: PASS",
+                "stable equilibrium strictly increasing in the reward: PASS",
+            ],
+        ),
+        (
+            "fig2",
+            [
+                "stable equilibrium inside [0.07, 0.11] at every threshold that has one: PASS",
+                "unstable equilibrium moves more across thresholds than the stable one: PASS",
+            ],
+        ),
+        (
+            "fig3",
+            [
+                "max net strictly decreasing in pstar [full]: PASS",
+                "first crossing strictly increasing in pstar [full]: PASS",
+                "max net strictly decreasing in pstar [truncated]: FAIL",
+                "first crossing strictly increasing in pstar [truncated]: PASS",
+            ],
+        ),
+    ],
+)
+def test_reproduce_reports_pin_their_checks(tmp_path, figure, checks):
+    """Each report's check lines, in order, with their verdicts at the
+    defaults; fig3 also keeps its two max-net ratios."""
+    report = reproduce_report(tmp_path, figure)
+    got = [line.split(" (")[0] for line in check_lines(report)]
+    assert got == [f"check {check}" for check in checks]
+    if figure == "fig3":
+        assert "max-net ratio pstar=0.04 over pstar=0.10 [full]: 16.182" in report
+        assert "max-net ratio pstar=0.04 over pstar=0.10 [truncated]: 0.785" in report
+
+
+def test_reproduce_reports_missing_roots(tmp_path):
+    """Grids too coarse to see a sign change leave the roots missing,
+    and the reports say so instead of failing."""
+    fig1 = reproduce_report(tmp_path, "fig1", "--grid", "8")
+    assert "sigma=5: unstable x=none, stable x=none" in fig1
+    assert all(": FAIL" in line for line in check_lines(fig1))
+    fig2 = reproduce_report(tmp_path, "fig2", "--grid", "3")
+    assert [line.split(":")[0] for line in fig2 if "no interior equilibrium (" in line] == [
+        "k=5", "k=6", "k=7", "k=8"
+    ]
+    assert fig2[-1] == (
+        "note: no interior equilibrium at k=5, k=6, k=7, k=8; "
+        "the reward cannot sustain volunteering there"
+    )
+
+
 # ---------------------------------------------------------------- config
 
 

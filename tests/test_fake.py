@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from exact_binomial import exact_tail_above
 
 from vodgame.fake import (
     FakeGameParams,
@@ -15,7 +16,7 @@ from vodgame.fake import (
     expected_net_payoff_fake,
     individual_payoff_fake,
 )
-from vodgame.numerics import binomial_tail, pmf_row
+from vodgame.numerics import pmf_row
 from vodgame.oracle import enumerate_fake_exact
 
 BASELINE = FakeGameParams()
@@ -200,15 +201,16 @@ def test_rejects_bad_inputs():
 def test_tail_mode_gap_is_exactly_the_discarded_cost():
     """Truncated minus full equals cost_volunteer_fake * P[turnout > n_fake]:
     the truncation drops only losing turnouts, where both roles fail and
-    the volunteer is down by exactly the participation cost."""
+    the volunteer is down by exactly the participation cost. P[turnout >
+    n_fake] is taken from exact rationals."""
     for i in range(4):
         p_star = 0.03 + 0.04 * i
+        want = BASELINE.cost_volunteer_fake * exact_tail_above(100, BASELINE.n_fake, p_star)
         for j in range(5):
             x_f = 0.1 + 0.2 * j
             gap = expected_net_payoff_fake(
                 x_f, p_star, 100, BASELINE, TailMode.TRUNCATED
             ) - expected_net_payoff_fake(x_f, p_star, 100, BASELINE, TailMode.FULL)
-            want = BASELINE.cost_volunteer_fake * binomial_tail(100, 9, p_star)
             assert gap == pytest.approx(want, abs=1e-12)
 
 

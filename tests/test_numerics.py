@@ -1,31 +1,18 @@
 """Tests for the binomial kernels and the root finder in find_equilibria.
 
-The pmf and tail checks are anchored to exact rational arithmetic
-(math.comb plus Fraction on the binary value of x), so nothing here
-trusts lgamma to check lgamma.
+The pmf checks are anchored to exact rational arithmetic (exact_binomial),
+so nothing here trusts lgamma to check lgamma.
 """
 
+import decimal
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_binomial import exact_pmf
 
 from vodgame.equilibrium import DEGENERATE, UNSTABLE, find_equilibria
-from vodgame.numerics import (
-    binomial_tail,
-    binomial_tail_pair,
-    log_binomial_pmf,
-    mix,
-    pmf_row,
-    require_probability,
-)
-
-
-def exact_pmf(n: int, m: int, x: float) -> Fraction:
-    """Binomial pmf as an exact rational, taking x at its binary value."""
-    p = Fraction(x)
-    return math.comb(n, m) * p**m * (1 - p) ** (n - m)
+from vodgame.numerics import mix, pmf_row, require_probability
 
 
 # ---------------------------------------------------------------- pmf
@@ -33,16 +20,14 @@ def exact_pmf(n: int, m: int, x: float) -> Fraction:
 
 @pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
 def test_log_pmf_matches_exact_rationals(x):
-    """exp(log pmf) agrees with big-integer rationals to 1e-12 relative."""
+    """pmf_row agrees with big-integer rationals to 1e-12 relative."""
     for n in range(31):
-        for m in range(n + 1):
-            got = math.exp(log_binomial_pmf(n, m, x))
-            want = float(exact_pmf(n, m, x))
-            assert got == pytest.approx(want, rel=1e-12)
+        want = [float(exact_pmf(n, m, x)) for m in range(n + 1)]
+        np.testing.assert_allclose(pmf_row(n, x), want, rtol=1e-12, atol=0.0)
 
 
 def test_log_pmf_spot_value_against_rationals():
-    got = math.exp(log_binomial_pmf(99, 9, 0.09))
+    got = pmf_row(99, 0.09)[9]
     want = float(exact_pmf(99, 9, 0.09))
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -59,46 +44,44 @@ def test_log_pmf_spot_value_against_rationals():
     ],
 )
 def test_log_pmf_degenerate_endpoints_are_exact(n, m, x, expected):
-    assert log_binomial_pmf(n, m, x) == expected
+    """At x = 0 or 1 the whole mass sits on one count (0^0 = 1), exactly."""
+    assert pmf_row(n, x)[m] == math.exp(expected)
 
 
 def test_log_pmf_large_n_stays_finite():
-    v = log_binomial_pmf(10**6, 500_000, 0.5)
-    assert math.isfinite(v)
-    # Stirling puts the central mass near 1/sqrt(pi*n/2)
-    assert v == pytest.approx(math.log(1.0 / math.sqrt(math.pi * 5e5)), rel=1e-3)
-
-
-@pytest.mark.parametrize("n,m", [(-1, 0), (5, -1), (5, 6)])
-def test_log_pmf_rejects_bad_support(n, m):
-    with pytest.raises(ValueError):
-        log_binomial_pmf(n, m, 0.5)
+    """The central entry of an n = 10^6 row against C(n, n/2) / 2^n,
+    taken as a 40-digit product of (2j-1)/(2j); the lgamma difference
+    behind the row loses ~7e-10 of relative precision here."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        want = math.prod(decimal.Decimal(2 * j - 1) / (2 * j) for j in range(1, 500_001))
+    got = pmf_row(10**6, 0.5)[500_000]
+    assert math.isfinite(got)
+    assert got == pytest.approx(float(want), rel=1e-8)
 
 
 def test_log_pmf_rejects_bad_probability():
     with pytest.raises(ValueError):
-        log_binomial_pmf(5, 2, 1.5)
+        pmf_row(5, 1.5)
     with pytest.raises(ValueError):
-        log_binomial_pmf(5, 2, math.nan)
+        pmf_row(5, math.nan)
 
 
 def test_pmf_normalizes_for_all_n_up_to_200():
-    """Sum over m of exp(log pmf) is 1 within 1e-12, n <= 200, x on 0.01 steps."""
+    """Each pmf row sums to 1 within 1e-12, n <= 200, x on 0.01 steps."""
     for n in range(201):
         for xi in range(101):
             x = xi / 100.0
-            total = math.fsum(
-                math.exp(log_binomial_pmf(n, m, x)) for m in range(n + 1)
-            )
+            total = math.fsum(pmf_row(n, x))
             assert abs(total - 1.0) <= 1e-12, (n, x, total)
 
 
 def test_pmf_row_matches_scalar_function():
+    """pmf_row against exact rationals, endpoints included."""
     for n in (0, 1, 7, 60):
         for x in (0.0, 0.3, 1.0):
-            row = pmf_row(n, x)
-            scalar = [math.exp(log_binomial_pmf(n, m, x)) for m in range(n + 1)]
-            np.testing.assert_allclose(row, scalar, rtol=1e-13, atol=0.0)
+            want = [float(exact_pmf(n, m, x)) for m in range(n + 1)]
+            np.testing.assert_allclose(pmf_row(n, x), want, rtol=1e-12, atol=0.0)
 
 
 def test_pmf_row_is_read_only():
@@ -140,56 +123,6 @@ def test_mix_matches_sums_over_whole_pmf_rows(n, points):
         row = pmf_row(n, float(x))
         for k, g in enumerate(gains):
             assert abs(got[k, j] - (g[-1] + math.fsum(row * (g - g[-1])))) <= 1e-13
-
-
-# ---------------------------------------------------------------- tails
-
-
-def test_tail_pair_sums_to_one_exactly():
-    for n in (1, 2, 9, 40, 150):
-        for lo in range(n + 2):
-            for x in (0.0, 0.03, 0.5, 0.88, 1.0):
-                below, above = binomial_tail_pair(n, lo, x)
-                assert below + above == 1.0
-
-
-def test_tail_plus_exact_lower_mass_is_one():
-    """binomial_tail + an independently computed P[M < lo] = 1 within 1e-12."""
-    for n in (5, 23, 101):
-        for lo in (1, n // 2, n):
-            for x in (0.07, 0.5, 0.93):
-                low_exact = float(sum(exact_pmf(n, m, x) for m in range(lo)))
-                assert binomial_tail(n, lo, x) + low_exact == pytest.approx(
-                    1.0, abs=1e-12
-                )
-
-
-def test_tail_bounds_are_exact():
-    assert binomial_tail(10, 0, 0.3) == 1.0
-    assert binomial_tail(10, -4, 0.3) == 1.0
-    assert binomial_tail(10, 11, 0.3) == 0.0
-    assert binomial_tail_pair(10, 11, 0.999) == (1.0, 0.0)
-
-
-def test_tail_non_increasing_in_lo():
-    for n in (1, 7, 40):
-        for x in (0.0, 0.2, 0.5, 0.8, 1.0):
-            tails = [binomial_tail(n, lo, x) for lo in range(n + 2)]
-            assert all(a >= b for a, b in zip(tails, tails[1:]))
-
-
-def test_tail_non_decreasing_in_x():
-    xs = np.linspace(0.0, 1.0, 41)
-    for n in (1, 7, 40):
-        for lo in (1, n // 2 + 1, n):
-            tails = [binomial_tail(n, lo, float(x)) for x in xs]
-            assert all(a <= b for a, b in zip(tails, tails[1:]))
-
-
-def test_tail_degenerate_x_values_are_exact():
-    assert binomial_tail(9, 3, 0.0) == 0.0
-    assert binomial_tail(9, 3, 1.0) == 1.0
-    assert binomial_tail(9, 9, 1.0) == 1.0
 
 
 # ---------------------------------------------------------------- validation

@@ -1,11 +1,12 @@
 """Property tests of the binomial-mixture payoffs on random small games.
 
 The regular and fake averages are checked against the brute-force
-profile enumerators, and the tail-mode identity against an independent
-binomial tail. Examples are derandomized and capped, so the suite stays
-deterministic and quick.
+profile enumerators, and the tail-mode identity against an exact
+rational binomial tail. Examples are derandomized and capped, so the
+suite stays deterministic and quick.
 """
 
+from exact_binomial import exact_tail_above
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,6 @@ from vodgame.fake import (
     avg_payoff_fake_volunteer,
     expected_net_payoff_fake,
 )
-from vodgame.numerics import binomial_tail
 from vodgame.oracle import enumerate_fake_exact, enumerate_truth_exact
 from vodgame.truth import TruthGameParams, payoff_pair_regular
 
@@ -79,5 +79,5 @@ def test_truncated_minus_full_is_the_discarded_mass(params, p_star, n_regular, x
     gap = expected_net_payoff_fake(
         x_f, p_star, n_regular, params, TailMode.TRUNCATED
     ) - expected_net_payoff_fake(x_f, p_star, n_regular, params, TailMode.FULL)
-    discarded = binomial_tail(n_regular, params.n_fake + 1, p_star)
+    discarded = exact_tail_above(n_regular, params.n_fake, p_star)
     assert abs(gap - params.cost_volunteer_fake * discarded) <= TOL
