@@ -138,6 +138,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ValueError("tol must be positive and finite")
     if cfg.trials < 1:
         raise ValueError("trials must be >= 1")
+    if cfg.seed < 0:
+        raise ValueError("seed must be >= 0")
     if not cfg.xmin < cfg.xmax:
         raise ValueError("need xmin < xmax")
     require_probability(cfg.xmin, "xmin")

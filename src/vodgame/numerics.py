@@ -2,6 +2,14 @@
 
 mix averages gain sequences against Binomial(n, x) pmf rows for a whole
 array of x at once; pmf_row is the row at one x.
+
+Both build a row's entries only inside its Bernstein window, the counts m
+with |m - nx| < t, t = T/3 + sqrt(T^2/9 + 2T nx(1-x)), T = 746. Bernstein's
+inequality puts at most e^-T of the Binomial(n, x) mass past t on each
+side, so every entry out there has a log pmf below -746 and its exp is
+exactly 0.0, as exp underflows below -745.13 and the log pmf's rounding
+error stays near 1e-7 at n = 10^6. Up to n = 497, t > n and every window
+is the whole row.
 """
 
 from __future__ import annotations
@@ -16,6 +24,11 @@ __all__ = ["require_probability", "pmf_row", "mix"]
 # pmf entries built at once (512 KB): a few grid points' rows at moderate
 # n, a piece of one row at large n, so no temporary grows with n or the grid
 _BLOCK_ENTRIES = 1 << 16
+_TILE = 1 << 10  # aligned counts that mix sums as one piece; see mix
+_TAIL = 746.0  # -log of the pmf mass left out past each end of a window
+# every window's t is at least 2 * _TAIL / 3, so up to this n (497) every
+# window is the whole row
+_WHOLE_ROWS_UP_TO = int(2 * _TAIL / 3)
 
 # log Gamma(x) ~ (x - 1/2) log x - x + log sqrt(2 pi) + P(1/x^2) / x, with
 # the coefficients of P of the Cephes lgam behind scipy.special.gammaln,
@@ -84,11 +97,53 @@ def _pmf_block(n: int, xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return block
 
 
+def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # first and end (exclusive) count of each x's Bernstein window; floor
+    # keeps every m within t of nx, as the bounds are off by far less than 1
+    nx = n * xs
+    t = _TAIL / 3 + np.sqrt(_TAIL**2 / 9 + 2 * _TAIL * nx * (1.0 - xs))
+    return np.maximum(nx - t, 0.0).astype(int), np.minimum(nx + t, n).astype(int) + 1
+
+
+def _runs(n: int, xs: np.ndarray):
+    # consecutive points whose entries fit one block, each run with the
+    # counts lo..hi-1 that cover its points' windows rounded out to tiles;
+    # up to n = 497 every window is the whole row, so none is computed
+    if n <= _WHOLE_ROWS_UP_TO:
+        step = max(1, _BLOCK_ENTRIES // (n + 1))
+        for i in range(0, xs.size, step):
+            yield slice(i, i + step), 0, n + 1
+        return
+    firsts, ends = _windows(n, xs)
+    firsts = (firsts // _TILE * _TILE).tolist()
+    ends = np.minimum(-(-ends // _TILE) * _TILE, n + 1).tolist()
+    i = 0
+    while i < len(firsts):
+        lo, hi, j = firsts[i], ends[i], i + 1
+        while j < len(firsts):
+            lo_j, hi_j = min(lo, firsts[j]), max(hi, ends[j])
+            if (j + 1 - i) * (hi_j - lo_j) > _BLOCK_ENTRIES:
+                break
+            lo, hi, j = lo_j, hi_j, j + 1
+        yield slice(i, j), lo, hi
+        i = j
+
+
 def pmf_row(n: int, x: float) -> np.ndarray:
-    """Binomial(n, x) pmf over m = 0..n as a read-only vector; n >= 0."""
+    """Binomial(n, x) pmf over m = 0..n as a read-only vector; n >= 0.
+
+    Only the entries inside x's Bernstein window (see the module
+    docstring) are computed; the rest are 0.0, which they would be if
+    computed too.
+    """
     if n < 0:
         raise ValueError(f"n must be at least 0, got {n!r}")
-    row = _pmf_block(n, np.array([require_probability(x, "x")]), 0, n + 1)[0]
+    xs = np.array([require_probability(x, "x")])
+    lo, hi = 0, n + 1
+    if n > _WHOLE_ROWS_UP_TO:
+        (lo,), (hi,) = _windows(n, xs)
+    row = np.zeros(n + 1)
+    row[lo:hi] = _pmf_block(n, xs, lo, hi)[0]
     row.setflags(write=False)
     return row
 
@@ -102,18 +157,25 @@ def mix(gains, xs) -> np.ndarray:
     a pmf row's mass misses 1 by up to 5e-10; a plain sum passes that on
     in full, this one weighs it by each gain's distance from the last,
     the regular game's gain once the quorum is met, where the mass sits.
+
+    Only the pmf entries inside each x's Bernstein window, rounded out to
+    tiles of 1024 counts, are built. Each tile is summed on its own, row
+    by row, and the tiles are added in count order; a tile outside a
+    point's window adds 0.0, so a point's value does not depend on the
+    other points in xs, and up to n = 1023 it is the sum over its whole
+    row.
     """
     flat = np.ravel(require_probability(xs, "x"))
     n = len(gains[0]) - 1
     out = np.zeros((len(gains), flat.size))
-    step = max(1, _BLOCK_ENTRIES // (n + 1))
-    for i in range(0, flat.size, step):
-        for lo in range(0, n + 1, _BLOCK_ENTRIES):
-            block = _pmf_block(n, flat[i : i + step], lo, lo + _BLOCK_ENTRIES)
+    for pts, first, end in _runs(n, flat):
+        for lo in range(first, end, _BLOCK_ENTRIES):
+            hi = min(lo + _BLOCK_ENTRIES, end)
+            block = _pmf_block(n, flat[pts], lo, hi)
             for k, g in enumerate(gains):
-                # summed row by row, unlike a matrix product, so a point's
-                # value does not depend on the other points in its block
-                offsets = g[lo : lo + _BLOCK_ENTRIES] - g[-1]
-                out[k, i : i + step] += (block * offsets).sum(axis=1)
+                offsets = g[lo:hi] - g[-1]
+                for t in range(0, hi - lo, _TILE):
+                    tile = slice(t, t + _TILE)
+                    out[k, pts] += (block[:, tile] * offsets[tile]).sum(axis=1)
     out += np.array([[g[-1]] for g in gains])
     return out.reshape((len(gains),) + np.shape(xs))

@@ -385,10 +385,19 @@ def test_config_file_missing(tmp_path):
         ("equilibria", "--sigma", "inf"),   # non-finite reward
         ("equilibria", "--tol", "nan"),     # non-finite tolerance
         ("equilibria", "--tol", "inf"),
+        ("simulate", "--seed", "-1"),
     ],
 )
 def test_invalid_parameters_exit_two(argv, tmp_path):
     assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
+
+
+def test_negative_seed_error_names_seed(tmp_path, capsys):
+    cfgfile = tmp_path / "seed.json"
+    cfgfile.write_text('{"seed": -1}', encoding="utf-8")
+    for argv in (("--seed", "-1"), ("--config", str(cfgfile))):
+        assert run_cli("simulate", *argv) == 2
+        assert "seed" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_three(tmp_path):
