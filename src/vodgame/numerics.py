@@ -3,13 +3,14 @@
 mix averages gain sequences against Binomial(n, x) pmf rows for a whole
 array of x at once; pmf_row is the row at one x.
 
-Both build a row's entries only inside its Bernstein window, the counts m
-with |m - nx| < t, t = T/3 + sqrt(T^2/9 + 2T nx(1-x)), T = 746. Bernstein's
-inequality puts at most e^-T of the Binomial(n, x) mass past t on each
-side, so every entry out there has a log pmf below -746 and its exp is
-exactly 0.0, as exp underflows below -745.13 and the log pmf's rounding
-error stays near 1e-7 at n = 10^6. Up to n = 497, t > n and every window
-is the whole row.
+From n = 1024 on, both build a row's entries only inside its Bernstein
+window, the counts m with |m - nx| < t, t = T/3 + sqrt(T^2/9 + 2T nx(1-x)),
+T = 746. Bernstein's inequality puts at most e^-T of the Binomial(n, x)
+mass past t on each side, so every entry out there has a log pmf below
+-746 and its exp is exactly 0.0, as exp underflows below -745.13 and the
+log pmf's rounding error stays near 1e-7 at n = 10^6. Shorter rows, at
+most one tile of mix's sums, are built whole: at n = 100 the window
+arithmetic costs more than the entries it skips.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ __all__ = ["require_probability", "pmf_row", "mix"]
 _BLOCK_ENTRIES = 1 << 16
 _TILE = 1 << 10  # aligned counts that mix sums as one piece; see mix
 _TAIL = 746.0  # -log of the pmf mass left out past each end of a window
-# every window's t is at least 2 * _TAIL / 3, so up to this n (497) every
-# window is the whole row
-_WHOLE_ROWS_UP_TO = int(2 * _TAIL / 3)
 
 # log Gamma(x) ~ (x - 1/2) log x - x + log sqrt(2 pi) + P(1/x^2) / x, with
 # the coefficients of P of the Cephes lgam behind scipy.special.gammaln,
@@ -105,42 +103,17 @@ def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(nx - t, 0.0).astype(int), np.minimum(nx + t, n).astype(int) + 1
 
 
-def _runs(n: int, xs: np.ndarray):
-    # consecutive points whose entries fit one block, each run with the
-    # counts lo..hi-1 that cover its points' windows rounded out to tiles;
-    # up to n = 497 every window is the whole row, so none is computed
-    if n <= _WHOLE_ROWS_UP_TO:
-        step = max(1, _BLOCK_ENTRIES // (n + 1))
-        for i in range(0, xs.size, step):
-            yield slice(i, i + step), 0, n + 1
-        return
-    firsts, ends = _windows(n, xs)
-    firsts = (firsts // _TILE * _TILE).tolist()
-    ends = np.minimum(-(-ends // _TILE) * _TILE, n + 1).tolist()
-    i = 0
-    while i < len(firsts):
-        lo, hi, j = firsts[i], ends[i], i + 1
-        while j < len(firsts):
-            lo_j, hi_j = min(lo, firsts[j]), max(hi, ends[j])
-            if (j + 1 - i) * (hi_j - lo_j) > _BLOCK_ENTRIES:
-                break
-            lo, hi, j = lo_j, hi_j, j + 1
-        yield slice(i, j), lo, hi
-        i = j
-
-
 def pmf_row(n: int, x: float) -> np.ndarray:
     """Binomial(n, x) pmf over m = 0..n as a read-only vector; n >= 0.
 
-    Only the entries inside x's Bernstein window (see the module
-    docstring) are computed; the rest are 0.0, which they would be if
-    computed too.
+    From n = 1024 on only the entries inside x's Bernstein window (see
+    the module docstring) are computed; the rest are 0.0.
     """
     if n < 0:
         raise ValueError(f"n must be at least 0, got {n!r}")
     xs = np.array([require_probability(x, "x")])
     lo, hi = 0, n + 1
-    if n > _WHOLE_ROWS_UP_TO:
+    if n >= _TILE:
         (lo,), (hi,) = _windows(n, xs)
     row = np.zeros(n + 1)
     row[lo:hi] = _pmf_block(n, xs, lo, hi)[0]
@@ -158,17 +131,26 @@ def mix(gains, xs) -> np.ndarray:
     in full, this one weighs it by each gain's distance from the last,
     the regular game's gain once the quorum is met, where the mass sits.
 
-    Only the pmf entries inside each x's Bernstein window, rounded out to
-    tiles of 1024 counts, are built. Each tile is summed on its own, row
-    by row, and the tiles are added in count order; a tile outside a
-    point's window adds 0.0, so a point's value does not depend on the
-    other points in xs, and up to n = 1023 it is the sum over its whole
-    row.
+    The pmf entries are built only inside the Bernstein windows (see the
+    module docstring) of each block's points, rounded out to aligned tiles
+    of counts. Each tile is summed on its own, row by row, and the tiles
+    are added in count order; a tile outside a point's window adds 0.0, so
+    a point's value does not depend on the other points in xs.
     """
     flat = np.ravel(require_probability(xs, "x"))
     n = len(gains[0]) - 1
     out = np.zeros((len(gains), flat.size))
-    for pts, first, end in _runs(n, flat):
+    step = max(1, _BLOCK_ENTRIES // (n + 1))
+    starts = range(0, flat.size, step)
+    spans = [(0, n + 1)] * len(starts)
+    # below one tile of counts every block covers the whole row
+    if n >= _TILE:
+        firsts, ends = _windows(n, flat)
+        firsts = np.minimum.reduceat(firsts, starts) // _TILE * _TILE
+        ends = np.minimum(-(-np.maximum.reduceat(ends, starts) // _TILE) * _TILE, n + 1)
+        spans = zip(firsts.tolist(), ends.tolist())
+    for i, (first, end) in zip(starts, spans):
+        pts = slice(i, i + step)
         for lo in range(first, end, _BLOCK_ENTRIES):
             hi = min(lo + _BLOCK_ENTRIES, end)
             block = _pmf_block(n, flat[pts], lo, hi)

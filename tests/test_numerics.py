@@ -117,11 +117,11 @@ def test_pmf_row_matches_scalar_function():
             np.testing.assert_allclose(pmf_row(n, x), want, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("n", [496, 497, 498, 10**4, 2 * 10**5 + 3, 10**6])
+@pytest.mark.parametrize("n", [496, 497, 498, 1023, 1024, 10**4, 2 * 10**5 + 3, 10**6])
 def test_pmf_row_window_drops_only_exact_zeros(n):
-    """pmf_row builds only the entries inside each x's Bernstein window;
-    the row is bitwise the whole-row formula, so every entry left out is
-    exactly 0.0."""
+    """From n = 1024 on pmf_row builds only the entries inside each x's
+    Bernstein window; every row is bitwise the whole-row formula, so
+    every entry left out is exactly 0.0."""
     m = np.arange(n + 1.0)
     for x in (0.0, 1.0, 5e-324, 1e-9, 5e-6, 0.3, 0.5, 1.0 - 1e-7):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -138,52 +138,32 @@ def test_pmf_row_is_read_only():
 
 
 def test_arrays_spanning_several_blocks_match_single_points():
-    """At 10^4 counts a pmf block holds the rows of 6 points, so 257
-    points span 43 blocks; every point must match its own single-float
-    evaluation."""
+    """Every point of an array equals its own single-float evaluation
+    bit for bit: on an evenly spaced grid that spans many pmf blocks,
+    and on a shuffled array whose points near 0, 0.5 and 1 share a block
+    but need different pmf tiles. An empty array gives empty arrays."""
     from vodgame.fake import FakeGameParams, expected_fake_payoffs
     from vodgame.truth import TruthGameParams, payoff_pair_regular
 
-    xs = np.linspace(0.0, 1.0, 257)
-    truth = TruthGameParams(n_regular=10**4, threshold=60, shared_reward=500.0)
+    mixed = np.array([0.0, 1e-9, 3e-4, 0.01, 0.499, 0.5, 0.502, 0.99, 1 - 3e-4, 1 - 1e-9, 1.0])
+    np.random.default_rng(7).shuffle(mixed)
     fake = FakeGameParams(n_fake=10**4)
-    for pair_at in (
-        lambda x: payoff_pair_regular(x, truth),
-        lambda x: expected_fake_payoffs(x, 0.3, 10**4, fake),
-    ):
-        arrays = pair_at(xs)
-        for i, x in enumerate(xs):
-            one = pair_at(float(x))
-            assert abs(arrays.volunteer_avg[i] - one.volunteer_avg) <= 1e-14
-            assert abs(arrays.defector_avg[i] - one.defector_avg) <= 1e-14
-            assert abs(arrays.net[i] - one.net) <= 1e-14
-
-
-@pytest.mark.parametrize("n", [10**4, 2 * 10**5 + 3])
-def test_point_values_do_not_depend_on_their_neighbours(n):
-    """Points near 0, 0.5 and 1 shuffled into one array need different
-    pmf tiles; each must still equal its single-float evaluation bit for
-    bit, and an empty array gives empty arrays."""
-    from vodgame.fake import FakeGameParams, expected_fake_payoffs
-    from vodgame.truth import TruthGameParams, payoff_pair_regular
-
-    xs = np.array([0.0, 1e-9, 3e-4, 0.01, 0.499, 0.5, 0.502, 0.99, 1 - 3e-4, 1 - 1e-9, 1.0])
-    np.random.default_rng(n).shuffle(xs)
-    truth = TruthGameParams(n_regular=n, threshold=60, shared_reward=500.0)
-    fake = FakeGameParams(n_fake=10**4)
-    for pair_at in (
-        lambda x: payoff_pair_regular(x, truth),
-        lambda x: expected_fake_payoffs(x, 0.3, n, fake),
-    ):
-        arrays = pair_at(xs)
-        for i, x in enumerate(xs):
-            one = pair_at(float(x))
-            assert arrays.volunteer_avg[i] == one.volunteer_avg, x
-            assert arrays.defector_avg[i] == one.defector_avg, x
-            assert arrays.net[i] == one.net, x
-        empty = pair_at(np.array([]))
-        for values in (empty.volunteer_avg, empty.defector_avg, empty.net):
-            assert values.shape == (0,)
+    for n in (10**4, 2 * 10**5 + 3):
+        truth = TruthGameParams(n_regular=n, threshold=60, shared_reward=500.0)
+        for pair_at in (
+            lambda x: payoff_pair_regular(x, truth),
+            lambda x: expected_fake_payoffs(x, 0.3, n, fake),
+        ):
+            for xs in (np.linspace(0.0, 1.0, 257), mixed):
+                arrays = pair_at(xs)
+                for i, x in enumerate(xs):
+                    one = pair_at(float(x))
+                    assert arrays.volunteer_avg[i] == one.volunteer_avg, (n, x)
+                    assert arrays.defector_avg[i] == one.defector_avg, (n, x)
+                    assert arrays.net[i] == one.net, (n, x)
+            empty = pair_at(np.array([]))
+            for values in (empty.volunteer_avg, empty.defector_avg, empty.net):
+                assert values.shape == (0,)
 
 
 @pytest.mark.parametrize("n,points", [(10**4, 257), (2 * 10**5 + 3, 5)])
