@@ -576,6 +576,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn_ignored_flags(args: argparse.Namespace) -> None:
+    # reproduce fixes every model parameter of its figure; only the scan
+    # settings --grid and --tol (and --out, --config) reach it
+    ignored = [
+        "--" + f.name.replace("_", "-")
+        for f in fields(RunConfig)
+        if f.name not in ("grid", "tol") and getattr(args, f.name) is not None
+    ]
+    if ignored:
+        print(
+            f"warning: reproduce {args.figure} uses its own model parameters; "
+            f"ignoring {', '.join(ignored)}",
+            file=sys.stderr,
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -590,6 +606,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "reproduce":
+            _warn_ignored_flags(args)
             return cmd_reproduce(args.figure, args.out, cfg.grid, cfg.tol)
         raise ValueError(f"unknown command {args.command!r}")
     except ValueError as exc:

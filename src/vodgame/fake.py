@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import mix, pmf_row, require_probability
+from .numerics import _pmf_window, mix, require_probability
 from .truth import PayoffPair
 
 __all__ = [
@@ -91,33 +91,33 @@ def individual_payoff_fake(
     return 1.0 if success else 1.0 - p.cost_failure
 
 
-def _gains(weights: np.ndarray, tail: TailMode, p: FakeGameParams) -> tuple[np.ndarray, ...]:
-    # volunteer and defector gains over the focal agent's 0..n_fake-1
-    # volunteering peers, averaged over the regular turnout M ~ weights.
-    # Every M above n_fake loses for both roles; FULL adds that mass to the
-    # total, summed (pairwise) from the weights rather than taken as
-    # 1 - kept: a pmf row's mass misses 1 by ~3e-10 at n_regular = 10^6
+def _gains(weights: np.ndarray, p: FakeGameParams):
+    # mix's gains callable for the volunteer and defector over the focal
+    # agent's 0..n_fake-1 volunteering peers, averaged over the regular
+    # turnout M ~ weights: P[M = 0..n_fake], then the mass above n_fake
+    # that the total counts (0.0 under TRUNCATED). Every M above n_fake
+    # loses for both roles
     f = p.n_fake
-    above = weights[f + 1 :].sum() if tail is TailMode.FULL else 0.0
     # below[i] = P[M < i] over M = 0..n_fake, for i = 0..n_fake + 1 at least
     below = np.cumsum(np.concatenate(([0.0], weights[: f + 1], np.zeros(f + 1))))
-    total = below[-1] + above
+    total = below[-1] + weights[f + 1]
     # with j peers a defector wins iff M < lo = j + 1 - s and a volunteer
     # iff M < lo + 1, where s = 1 under strict dominance
     lo = np.arange(f) + (0 if p.strict_dominance else 1)
-    v = (1.0 - p.cost_volunteer_fake - p.cost_failure) * total + p.cost_failure * below[lo + 1]
-    d = (1.0 - p.cost_failure) * total + p.cost_failure * below[lo]
-    return v, d
+    g = np.empty((2, f))
+    g[0] = (1.0 - p.cost_volunteer_fake - p.cost_failure) * total + p.cost_failure * below[lo + 1]
+    g[1] = (1.0 - p.cost_failure) * total + p.cost_failure * below[lo]
+    return lambda m: g.take(m, axis=1)
 
 
-def _gains_against(regular_volunteers: int, p: FakeGameParams) -> tuple[np.ndarray, ...]:
+def _gains_against(regular_volunteers: int, p: FakeGameParams):
     # _gains for a known turnout, from one-hot weights whose last entry
     # stands for every turnout above n_fake
     if regular_volunteers < 0:
         raise ValueError("regular_volunteers must be nonnegative")
     weights = np.zeros(p.n_fake + 2)
     weights[min(regular_volunteers, p.n_fake + 1)] = 1.0
-    return _gains(weights, TailMode.FULL, p)
+    return _gains(weights, p)
 
 
 def avg_payoff_fake_volunteer(
@@ -126,7 +126,7 @@ def avg_payoff_fake_volunteer(
     """Expected payoff of a fake volunteer against a known regular
     turnout, its n_fake-1 peers volunteering independently with
     probability x_f (a float or an array of them)."""
-    return mix(_gains_against(regular_volunteers, params), x_f)[0]
+    return mix(_gains_against(regular_volunteers, params), params.n_fake - 1, x_f)[0]
 
 
 def avg_payoff_fake_defector(
@@ -134,7 +134,7 @@ def avg_payoff_fake_defector(
 ) -> float:
     """Expected payoff of a fake-side defector against a known regular
     turnout."""
-    return mix(_gains_against(regular_volunteers, params), x_f)[1]
+    return mix(_gains_against(regular_volunteers, params), params.n_fake - 1, x_f)[1]
 
 
 def expected_fake_payoffs(
@@ -153,7 +153,17 @@ def expected_fake_payoffs(
     p_star = require_probability(p_star, "p_star")
     if n_regular < 1:
         raise ValueError("n_regular must be at least 1")
-    v, d = mix(_gains(pmf_row(n_regular, p_star), tail, params), x_f)
+    # P[M = 0..n_fake] and, under FULL, the mass above, read from M's
+    # Bernstein window alone. The mass is summed rather than taken as
+    # 1 - kept: a pmf row's mass misses 1 by ~3e-10 at n_regular = 10^6
+    f = params.n_fake
+    lo, entries = _pmf_window(n_regular, p_star)
+    weights = np.zeros(f + 2)
+    head = entries[: max(f + 1 - lo, 0)]
+    weights[lo : lo + head.size] = head
+    if tail is TailMode.FULL:
+        weights[f + 1] = entries[head.size :].sum()
+    v, d = mix(_gains(weights, params), f - 1, x_f)
     return PayoffPair(v, d, v - d)
 
 

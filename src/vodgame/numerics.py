@@ -103,30 +103,43 @@ def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(nx - t, 0.0).astype(int), np.minimum(nx + t, n).astype(int) + 1
 
 
-def pmf_row(n: int, x: float) -> np.ndarray:
-    """Binomial(n, x) pmf over m = 0..n as a read-only vector; n >= 0.
-
-    From n = 1024 on only the entries inside x's Bernstein window (see
-    the module docstring) are computed; the rest are 0.0.
-    """
+def _pmf_window(n: int, x: float) -> tuple[int, np.ndarray]:
+    # first count lo and the Binomial(n, x) pmf entries from lo on inside
+    # x's Bernstein window; below one tile of counts the whole row
     if n < 0:
         raise ValueError(f"n must be at least 0, got {n!r}")
     xs = np.array([require_probability(x, "x")])
     lo, hi = 0, n + 1
     if n >= _TILE:
         (lo,), (hi,) = _windows(n, xs)
+    return lo, _pmf_block(n, xs, lo, hi)[0]
+
+
+def pmf_row(n: int, x: float) -> np.ndarray:
+    """Binomial(n, x) pmf over m = 0..n as a read-only vector; n >= 0.
+
+    From n = 1024 on only the entries inside x's Bernstein window (see
+    the module docstring) are computed, and the row is those entries
+    written into zeros; the payoff functions read the window alone.
+    """
+    lo, entries = _pmf_window(n, x)
     row = np.zeros(n + 1)
-    row[lo:hi] = _pmf_block(n, xs, lo, hi)[0]
+    row[lo : lo + entries.size] = entries
     row.setflags(write=False)
     return row
 
 
-def mix(gains, xs) -> np.ndarray:
+def mix(gains, n: int, xs) -> np.ndarray:
     """sum_m g[m] * P[M = m] for M ~ Binomial(n, x), for each gain
-    sequence g over m = 0..n in gains, at every x in xs; the result has
-    shape (len(gains),) + np.shape(xs).
+    sequence g over m = 0..n, at every x in xs; the result has shape
+    (number of sequences,) + np.shape(xs).
 
-    It is summed as g[-1] + sum_m (g[m] - g[-1]) * P[M = m]. At n = 10^6
+    gains(m) takes a sorted int array of counts and returns a 2-D array
+    with one row per gain sequence, the gains at those counts. mix calls
+    it once per call: from n = 1024 on for the counts its pmf blocks
+    cover followed by n, below that for the whole row 0..n.
+
+    It is summed as g[n] + sum_m (g[m] - g[n]) * P[M = m]. At n = 10^6
     a pmf row's mass misses 1 by up to 5e-10; a plain sum passes that on
     in full, this one weighs it by each gain's distance from the last,
     the regular game's gain once the quorum is met, where the mass sits.
@@ -137,27 +150,38 @@ def mix(gains, xs) -> np.ndarray:
     are added in count order; a tile outside a point's window adds 0.0, so
     a point's value does not depend on the other points in xs.
     """
-    flat = np.ravel(require_probability(xs, "x"))
-    n = len(gains[0]) - 1
-    out = np.zeros((len(gains), flat.size))
+    xs = np.asarray(require_probability(xs, "x"))
+    flat = xs.ravel()
     step = max(1, _BLOCK_ENTRIES // (n + 1))
     starts = range(0, flat.size, step)
-    spans = [(0, n + 1)] * len(starts)
-    # below one tile of counts every block covers the whole row
-    if n >= _TILE:
+    # each block's first count, end count and column of its first count in g
+    if n < _TILE:  # below one tile of counts every block covers the whole row
+        m = np.arange(n + 1)
+        spans = [(0, n + 1, 0)] * len(starts)
+    else:
         firsts, ends = _windows(n, flat)
         firsts = np.minimum.reduceat(firsts, starts) // _TILE * _TILE
         ends = np.minimum(-(-np.maximum.reduceat(ends, starts) // _TILE) * _TILE, n + 1)
-        spans = zip(firsts.tolist(), ends.tolist())
-    for i, (first, end) in zip(starts, spans):
+        # the counts in the union of the blocks' spans, then n for g[n]
+        runs = []
+        for first, end in sorted(zip(firsts.tolist(), ends.tolist())):
+            if runs and first <= runs[-1][1]:
+                runs[-1][1] = max(runs[-1][1], end)
+            else:
+                runs.append([first, end])
+        m = np.concatenate([np.arange(a, min(b, n)) for a, b in runs] + [[n]])
+        spans = zip(firsts.tolist(), ends.tolist(), np.searchsorted(m, firsts).tolist())
+    g = gains(m)
+    out = np.zeros((len(g), flat.size))
+    for i, (first, end, col) in zip(starts, spans):
         pts = slice(i, i + step)
         for lo in range(first, end, _BLOCK_ENTRIES):
             hi = min(lo + _BLOCK_ENTRIES, end)
             block = _pmf_block(n, flat[pts], lo, hi)
-            for k, g in enumerate(gains):
-                offsets = g[lo:hi] - g[-1]
+            for gk, sums in zip(g, out[:, pts]):
+                offsets = gk[col + lo - first : col + hi - first] - gk[-1]
                 for t in range(0, hi - lo, _TILE):
                     tile = slice(t, t + _TILE)
-                    out[k, pts] += (block[:, tile] * offsets[tile]).sum(axis=1)
-    out += np.array([[g[-1]] for g in gains])
-    return out.reshape((len(gains),) + np.shape(xs))
+                    sums += (block[:, tile] * offsets[tile]).sum(axis=1)
+    out += g[:, -1:]
+    return out.reshape((len(g),) + xs.shape)

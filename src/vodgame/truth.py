@@ -108,11 +108,18 @@ def payoff_pair_regular(x, params: TruthGameParams) -> PayoffPair:
     """
     p = params
     n, k, s = p.n_regular, p.threshold, p.shared_reward
-    volunteer = np.full(n, 1.0 - p.cost_volunteer - p.cost_failure)
-    volunteer[k - 1 :] = 1.0 - p.cost_volunteer + s / np.arange(k, n + 1.0) - s / n
-    defector = np.full(n, 1.0 - s / n)
-    defector[:k] = 1.0 - p.cost_failure
-    v, d = mix((volunteer, defector), x)
+
+    def gains(m: np.ndarray) -> np.ndarray:
+        # m is sorted: the counts below k - 1 and below k are prefixes
+        below_v, below_d = m.searchsorted((k - 1, k))
+        g = np.empty((2, m.size))
+        g[0] = 1.0 - p.cost_volunteer + s / (m + 1.0) - s / n
+        g[0, :below_v] = 1.0 - p.cost_volunteer - p.cost_failure
+        g[1] = 1.0 - s / n
+        g[1, :below_d] = 1.0 - p.cost_failure
+        return g
+
+    v, d = mix(gains, n - 1, x)
     return PayoffPair(v, d, v - d)
 
 

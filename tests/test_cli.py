@@ -3,6 +3,7 @@ config precedence, exit codes, and determinism under threading."""
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -259,6 +260,24 @@ def test_reproduce_threshold_family_reports_the_gap(tmp_path):
     assert "k=8: no interior equilibrium" in report
     assert "check stable equilibrium inside [0.07, 0.11]" in report
     assert "PASS" in report
+
+
+def test_reproduce_names_the_model_flags_it_ignores(tmp_path, capsys):
+    """reproduce fixes its figure's model parameters: model flags given on
+    the command line are named on one stderr line and change no byte of
+    the output; --grid and --tol are used, so they are not named."""
+    plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+    assert run_cli("reproduce", "fig1", "--out", str(plain)) == 0
+    assert capsys.readouterr().err == ""
+    argv = ("reproduce", "fig1", "--n", "50", "--sigma", "9", "--grid", "2048", "--tol", "1e-10")
+    assert run_cli(*argv, "--out", str(flagged)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert re.findall(r"--[a-z-]+", line) == ["--n", "--sigma"]
+    assert sorted(os.listdir(flagged)) == sorted(os.listdir(plain))
+    for name in os.listdir(plain):
+        assert (flagged / name).read_bytes() == (plain / name).read_bytes(), name
 
 
 def reproduce_report(tmp_path, figure, *flags):

@@ -195,6 +195,53 @@ def test_rejects_bad_inputs():
             expected_fake_payoffs(bad, 0.09, 100, BASELINE)
 
 
+def _turnout_loop(x_f, p_star, n, params, tail):
+    """Both averages as a loop over the turnouts M <= n_fake with a
+    nonzero pmf entry, plus, under FULL, the mass above n_fake weighing
+    the turnout n_fake + 1, which loses for both roles as every larger
+    one does."""
+    f = params.n_fake
+    row = pmf_row(n, p_star)
+    tail_row = row[f + 1 :]
+    above = math.fsum(tail_row[np.flatnonzero(tail_row)]) if tail is TailMode.FULL else 0.0
+    sums = []
+    for avg in (avg_payoff_fake_volunteer, avg_payoff_fake_defector):
+        terms = [row[m] * avg(x_f, m, params) for m in np.flatnonzero(row[: f + 1]).tolist()]
+        sums.append(math.fsum(terms + [above * avg(x_f, f + 1, params)]))
+    return sums
+
+
+@pytest.mark.parametrize(
+    "n, p_star",
+    [(10**6, 0.0), (10**6, 5e-6), (10**6, 0.3), (10**6, 1.0), (3, 0.3)],
+)
+@pytest.mark.parametrize("strict", [False, True], ids=["ties_win", "strict"])
+@pytest.mark.parametrize("tail", [TailMode.FULL, TailMode.TRUNCATED])
+def test_expected_reads_only_the_turnout_window(tail, strict, n, p_star):
+    """The expectation weighs P[M = 0..n_fake] and the mass above n_fake,
+    both read from M's Bernstein window alone, and matches the loop over
+    the whole pmf row. At p* = 0.3 and n = 10^6 the window starts above
+    n_fake + 1; at p* = 0 and 1 it is one count wide; n = 3 is below
+    n_fake = 8."""
+    params = FakeGameParams(strict_dominance=strict)
+    for x_f in (0.0, 0.35, 0.9):
+        pair = expected_fake_payoffs(x_f, p_star, n, params, tail)
+        volunteer, defector = _turnout_loop(x_f, p_star, n, params, tail)
+        assert abs(pair.volunteer_avg - volunteer) <= 1e-15, x_f
+        assert abs(pair.defector_avg - defector) <= 1e-15, x_f
+
+
+def test_expected_places_a_window_that_starts_among_the_kept_turnouts():
+    """At n = 1100 and p* = 0.99 M's window starts at 560, and its mass,
+    around M = 1089, lies mostly below n_fake = 1095: each entry must
+    weigh its own turnout."""
+    params = FakeGameParams(n_fake=1095)
+    pair = expected_fake_payoffs(0.99, 0.99, 1100, params)
+    volunteer, defector = _turnout_loop(0.99, 0.99, 1100, params, TailMode.FULL)
+    assert abs(pair.volunteer_avg - volunteer) <= 1e-15
+    assert abs(pair.defector_avg - defector) <= 1e-15
+
+
 # ---------------------------------------------------------------- properties
 
 

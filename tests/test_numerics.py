@@ -13,7 +13,14 @@ import pytest
 from exact_binomial import exact_pmf
 
 from vodgame.equilibrium import DEGENERATE, UNSTABLE, find_equilibria
-from vodgame.numerics import _log_choose_row, _log_factorials, mix, pmf_row, require_probability
+from vodgame.numerics import (
+    _log_choose_row,
+    _log_factorials,
+    _windows,
+    mix,
+    pmf_row,
+    require_probability,
+)
 
 
 # ---------------------------------------------------------------- log m!
@@ -172,11 +179,45 @@ def test_mix_matches_sums_over_whole_pmf_rows(n, points):
     large n, leave each mixture equal to its sum over a whole pmf row."""
     gains = np.random.default_rng(n).normal(size=(2, n + 1))
     xs = np.linspace(0.0, 1.0, points)
-    got = mix(gains, xs)
+    got = mix(lambda m: gains[:, m], n, xs)
     for j, x in enumerate(xs):
         row = pmf_row(n, float(x))
+        nz = np.flatnonzero(row)  # the exact zeros add nothing to fsum
         for k, g in enumerate(gains):
-            assert abs(got[k, j] - (g[-1] + math.fsum(row * (g - g[-1])))) <= 1e-13
+            assert abs(got[k, j] - (g[-1] + math.fsum(row[nz] * (g[nz] - g[-1])))) <= 1e-13
+
+
+def test_mix_reads_gains_once_inside_its_windows():
+    """mix asks its gains callable once per call: at large n only for the
+    tile-rounded windows of its points followed by n, below one tile for
+    the whole row, so no call costs O(n) in the gains."""
+
+    def recording(n):
+        asked = []
+
+        def gains(m):
+            asked.append(m)
+            return np.vstack([m / n])  # E[M / n] = x
+
+        return asked, gains
+
+    n, tile = 10**6, 1024
+    for x in (0.0, 8e-6, 4e-5, 0.3, 1.0):
+        asked, gains = recording(n)
+        got = mix(gains, n, x)
+        (m,) = asked
+        (lo,), (hi,) = _windows(n, np.array([x]))
+        window = min(-(-hi // tile) * tile, n + 1) - lo // tile * tile
+        assert m.size <= window + 1, x
+        assert m[-1] == n and np.all(np.diff(m) > 0), x
+        assert abs(got[0] - x) <= 1e-8, x
+    asked, gains = recording(10**4)
+    mix(gains, 10**4, np.linspace(0.0, 1.0, 2048))
+    assert len(asked) == 1
+    asked, gains = recording(100)
+    mix(gains, 100, np.array([0.2, 0.7]))
+    (m,) = asked
+    assert np.array_equal(m, np.arange(101))
 
 
 # ---------------------------------------------------------------- validation

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vodgame.numerics import mix
 from vodgame.oracle import enumerate_truth_exact
 from vodgame.truth import (
     TruthGameParams,
@@ -119,6 +120,28 @@ def test_defector_avg_two_player_coin_flip():
     # independent check by profile enumeration
     pair = enumerate_truth_exact(p, 0.5)
     assert got == pytest.approx(pair.defector_avg, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 7, 1023, 1024, 10**4, 10**6])
+def test_gains_match_the_whole_array_formula_bit_for_bit(n):
+    """payoff_pair_regular builds its gains only at the counts mix asks
+    for; they equal the gain arrays over all j = 0..n-1 written out from
+    the model (README), bit for bit. k = 1 and k = n are the edges where
+    one of the below-threshold prefixes is empty or the whole row."""
+    xs = np.array([0.0, 5e-324, 8e-6, 0.3, 1.0])
+    for k in sorted({1, min(6, n), n}):
+        p = TruthGameParams(n_regular=n, threshold=k)
+        c, a, s = p.cost_volunteer, p.cost_failure, p.shared_reward
+        volunteer = np.full(n, 1.0 - c - a)
+        volunteer[k - 1 :] = 1.0 - c + s / np.arange(k, n + 1.0) - s / n
+        defector = np.full(n, 1.0 - s / n)
+        defector[:k] = 1.0 - a
+        whole = np.array([volunteer, defector])
+        want = mix(lambda m: whole[:, m], n - 1, xs)
+        pair = payoff_pair_regular(xs, p)
+        assert np.array_equal(pair.volunteer_avg, want[0]), k
+        assert np.array_equal(pair.defector_avg, want[1]), k
+        assert np.array_equal(pair.net, want[0] - want[1]), k
 
 
 # ---------------------------------------------------------------- net payoff
