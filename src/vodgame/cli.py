@@ -241,9 +241,8 @@ def _parse_sweep_values(param: str, raw: str) -> tuple:
     items = [piece.strip() for piece in raw.split(",") if piece.strip()]
     if not items:
         raise ValueError("--values must hold at least one number")
-    if param in ("n", "k", "f"):
-        return tuple(int(piece) for piece in items)
-    return tuple(float(piece) for piece in items)
+    kind = int if param in _INT_FIELDS else float
+    return tuple(kind(piece) for piece in items)
 
 
 def run_sweep(base: RunConfig, name: str, values: tuple):
@@ -576,18 +575,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warn_ignored_flags(args: argparse.Namespace) -> None:
+def _warn_ignored_settings(args: argparse.Namespace) -> None:
     # reproduce fixes every model parameter of its figure; only the scan
-    # settings --grid and --tol (and --out, --config) reach it
-    ignored = [
+    # settings grid and tol (and --out, --config) reach it, whether from
+    # a flag or from the config file
+    used = ("grid", "tol")
+    from_file = _load_config_file(args.config) if args.config else {}
+    flags = [
         "--" + f.name.replace("_", "-")
         for f in fields(RunConfig)
-        if f.name not in ("grid", "tol") and getattr(args, f.name) is not None
+        if f.name not in used and getattr(args, f.name) is not None
     ]
+    keys = [f.name for f in fields(RunConfig) if f.name not in used and f.name in from_file]
+    ignored = [", ".join(flags)] if flags else []
+    if keys:
+        ignored.append("config keys " + ", ".join(keys))
     if ignored:
         print(
             f"warning: reproduce {args.figure} uses its own model parameters; "
-            f"ignoring {', '.join(ignored)}",
+            f"ignoring {' and '.join(ignored)}",
             file=sys.stderr,
         )
 
@@ -606,7 +612,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "reproduce":
-            _warn_ignored_flags(args)
+            _warn_ignored_settings(args)
             return cmd_reproduce(args.figure, args.out, cfg.grid, cfg.tol)
         raise ValueError(f"unknown command {args.command!r}")
     except ValueError as exc:

@@ -15,6 +15,10 @@ Exact enumeration iterates every co-player volunteer/defect profile as
 a bit pattern and weights it by x^v * (1-x)^(peers-v) directly, with no
 binomial shortcuts, so it is an independent check on the analytic
 averages (practical for n_regular <= 16).
+
+Both backends score a count with the same per-game rule
+(_truth_payoffs, _fake_payoffs), written from the games' definitions
+and never through the binomial-mixture kernel they check.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fake import FakeGameParams
+from .fake import FakeGameParams, _wins
 from .numerics import require_probability
 from .truth import PayoffPair, TruthGameParams
 
@@ -93,6 +97,52 @@ def _chunk_sizes(trials: int) -> list[int]:
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
+def _simulate(draw, trials: int, seed: int) -> SimResult:
+    # draw(rng, size) returns the volunteer and defector payoff arrays of
+    # one chunk; every chunk is scored and merged in index order
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    vol = _RunningMean()
+    dfc = _RunningMean()
+    for i, size in enumerate(_chunk_sizes(trials)):
+        pay_v, pay_d = draw(_chunk_rng(seed, i), size)
+        vol.add_chunk(pay_v)
+        dfc.add_chunk(pay_d)
+    return SimResult(vol.mean, dfc.mean, vol.se, dfc.se, trials, seed)
+
+
+def _truth_payoffs(co_volunteers: np.ndarray, params: TruthGameParams):
+    # payoffs of a focal volunteer and a focal defector whose co-players
+    # hold co_volunteers volunteers, shared-reward transfers included
+    p = params
+    pay_v = np.where(
+        co_volunteers + 1 >= p.threshold,
+        (1.0 - p.cost_volunteer)
+        + p.shared_reward / (co_volunteers + 1.0)
+        - p.shared_reward / p.n_regular,
+        1.0 - p.cost_volunteer - p.cost_failure,
+    )
+    pay_d = np.where(
+        co_volunteers >= p.threshold,
+        1.0 - p.shared_reward / p.n_regular,
+        1.0 - p.cost_failure,
+    )
+    return pay_v, pay_d
+
+
+def _fake_payoffs(peers: np.ndarray, turnout, params: FakeGameParams):
+    # payoffs of a focal fake volunteer and defector whose peers hold
+    # peers volunteers against a regular turnout, ties as in _wins
+    p = params
+    pay_v = np.where(
+        _wins(peers + 1, turnout, p.strict_dominance),
+        1.0 - p.cost_volunteer_fake,
+        1.0 - p.cost_volunteer_fake - p.cost_failure,
+    )
+    pay_d = np.where(_wins(peers, turnout, p.strict_dominance), 1.0, 1.0 - p.cost_failure)
+    return pay_v, pay_d
+
+
 def simulate_truth(
     params: TruthGameParams, x: float, trials: int, seed: int = 0
 ) -> SimResult:
@@ -105,30 +155,12 @@ def simulate_truth(
     against that same draw, shared-reward transfers included.
     """
     x = require_probability(x, "x")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    p = params
-    n_co = p.n_regular - 1
-    vol = _RunningMean()
-    dfc = _RunningMean()
-    for i, size in enumerate(_chunk_sizes(trials)):
-        rng = _chunk_rng(seed, i)
-        m = rng.binomial(n_co, x, size=size)
-        pay_v = np.where(
-            m >= p.threshold - 1,
-            (1.0 - p.cost_volunteer)
-            + p.shared_reward / (m + 1.0)
-            - p.shared_reward / p.n_regular,
-            1.0 - p.cost_volunteer - p.cost_failure,
-        )
-        pay_d = np.where(
-            m >= p.threshold,
-            1.0 - p.shared_reward / p.n_regular,
-            1.0 - p.cost_failure,
-        )
-        vol.add_chunk(pay_v)
-        dfc.add_chunk(pay_d)
-    return SimResult(vol.mean, dfc.mean, vol.se, dfc.se, trials, seed)
+    n_co = params.n_regular - 1
+    return _simulate(
+        lambda rng, size: _truth_payoffs(rng.binomial(n_co, x, size=size), params),
+        trials,
+        seed,
+    )
 
 
 def simulate_fake(
@@ -150,42 +182,32 @@ def simulate_fake(
     x_f = require_probability(x_f, "x_f")
     if n_regular < 1:
         raise ValueError("n_regular must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    p = params
-    vol = _RunningMean()
-    dfc = _RunningMean()
-    for i, size in enumerate(_chunk_sizes(trials)):
-        rng = _chunk_rng(seed, i)
-        m = rng.binomial(n_regular, p_star, size=size)
-        k_co = rng.binomial(p.n_fake - 1, x_f, size=size)
-        if p.strict_dominance:
-            win_v = k_co + 1 > m
-            win_d = k_co > m
-        else:
-            win_v = k_co + 1 >= m
-            win_d = k_co >= m
-        pay_v = np.where(
-            win_v,
-            1.0 - p.cost_volunteer_fake,
-            1.0 - p.cost_volunteer_fake - p.cost_failure,
-        )
-        pay_d = np.where(win_d, 1.0, 1.0 - p.cost_failure)
-        vol.add_chunk(pay_v)
-        dfc.add_chunk(pay_d)
-    return SimResult(vol.mean, dfc.mean, vol.se, dfc.se, trials, seed)
+
+    def draw(rng: np.random.Generator, size: int):
+        # turnout before peers: the draw order fixes every seeded result
+        turnout = rng.binomial(n_regular, p_star, size=size)
+        peers = rng.binomial(params.n_fake - 1, x_f, size=size)
+        return _fake_payoffs(peers, turnout, params)
+
+    return _simulate(draw, trials, seed)
 
 
-def _profile_counts(peers: int) -> np.ndarray:
-    # volunteer count of every subset of `peers` co-players, i.e. the
-    # popcount of 0 .. 2^peers - 1
-    if peers == 0:
-        return np.zeros(1, dtype=np.int64)
+def _enumerate(peers: int, x: float, payoffs) -> PayoffPair:
+    # weight every profile of `peers` co-players, as the bit pattern
+    # 0 .. 2^peers - 1 whose popcount v is its volunteer count, by
+    # x^v (1-x)^(peers-v) and average payoffs(v) over them
     if peers > 24:
         raise ValueError("profile enumeration is limited to 24 co-players")
-    patterns = np.arange(2**peers, dtype="<u4")
-    bits = np.unpackbits(patterns.view(np.uint8).reshape(-1, 4), axis=1, bitorder="little")
-    return bits[:, :peers].sum(axis=1).astype(np.int64)
+    v = np.zeros(1, dtype=np.int64)
+    if peers:
+        patterns = np.arange(2**peers, dtype="<u4")
+        bits = np.unpackbits(patterns.view(np.uint8).reshape(-1, 4), axis=1, bitorder="little")
+        v = bits[:, :peers].sum(axis=1).astype(np.int64)
+    w = np.power(x, v) * np.power(1.0 - x, peers - v)
+    pay_v, pay_d = payoffs(v)
+    pv = float(w @ pay_v)
+    pd = float(w @ pay_d)
+    return PayoffPair(pv, pd, pv - pd)
 
 
 def enumerate_truth_exact(params: TruthGameParams, x: float) -> PayoffPair:
@@ -193,27 +215,9 @@ def enumerate_truth_exact(params: TruthGameParams, x: float) -> PayoffPair:
     all 2^(n_regular - 1) co-player profiles. Practical for
     n_regular <= 16."""
     x = require_probability(x, "x")
-    p = params
-    if p.n_regular > 16:
+    if params.n_regular > 16:
         raise ValueError("exact enumeration supports n_regular <= 16")
-    peers = p.n_regular - 1
-    v = _profile_counts(peers)
-    w = np.power(x, v) * np.power(1.0 - x, peers - v)
-    pay_v = np.where(
-        v + 1 >= p.threshold,
-        (1.0 - p.cost_volunteer)
-        + p.shared_reward / (v + 1.0)
-        - p.shared_reward / p.n_regular,
-        1.0 - p.cost_volunteer - p.cost_failure,
-    )
-    pay_d = np.where(
-        v >= p.threshold,
-        1.0 - p.shared_reward / p.n_regular,
-        1.0 - p.cost_failure,
-    )
-    pv = float(w @ pay_v)
-    pd = float(w @ pay_d)
-    return PayoffPair(pv, pd, pv - pd)
+    return _enumerate(params.n_regular - 1, x, lambda v: _truth_payoffs(v, params))
 
 
 def enumerate_fake_exact(
@@ -224,24 +228,8 @@ def enumerate_fake_exact(
     x_f = require_probability(x_f, "x_f")
     if regular_volunteers < 0:
         raise ValueError("regular_volunteers must be nonnegative")
-    p = params
-    if p.n_fake > 16:
+    if params.n_fake > 16:
         raise ValueError("exact enumeration supports n_fake <= 16")
-    peers = p.n_fake - 1
-    v = _profile_counts(peers)
-    w = np.power(x_f, v) * np.power(1.0 - x_f, peers - v)
-    if p.strict_dominance:
-        win_v = v + 1 > regular_volunteers
-        win_d = v > regular_volunteers
-    else:
-        win_v = v + 1 >= regular_volunteers
-        win_d = v >= regular_volunteers
-    pay_v = np.where(
-        win_v,
-        1.0 - p.cost_volunteer_fake,
-        1.0 - p.cost_volunteer_fake - p.cost_failure,
+    return _enumerate(
+        params.n_fake - 1, x_f, lambda v: _fake_payoffs(v, regular_volunteers, params)
     )
-    pay_d = np.where(win_d, 1.0, 1.0 - p.cost_failure)
-    pv = float(w @ pay_v)
-    pd = float(w @ pay_d)
-    return PayoffPair(pv, pd, pv - pd)

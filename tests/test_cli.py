@@ -13,9 +13,12 @@ import pytest
 
 from vodgame.cli import (
     CURVE_HEADER,
+    FAKE_SWEEPABLE,
     SUMMARY_HEADER,
     SWEEP_HEADER,
+    TRUTH_SWEEPABLE,
     RunConfig,
+    _parse_sweep_values,
     main,
 )
 from vodgame.truth import TruthGameParams, payoff_pair_regular
@@ -195,6 +198,17 @@ def test_sweep_rejects_empty_values(tmp_path):
                    "--out", str(tmp_path / "x.csv")) == 2
 
 
+@pytest.mark.parametrize("param", sorted(set(TRUTH_SWEEPABLE + FAKE_SWEEPABLE)))
+def test_sweep_values_take_their_fields_type(param):
+    values = _parse_sweep_values(param, "3, 4,")
+    counts = param in ("n", "k", "f")
+    assert values == (3, 4)
+    assert all(type(v) is (int if counts else float) for v in values)
+    if counts:
+        with pytest.raises(ValueError):
+            _parse_sweep_values(param, "3.5")
+
+
 # ---------------------------------------------------------------- simulate
 
 
@@ -278,6 +292,29 @@ def test_reproduce_names_the_model_flags_it_ignores(tmp_path, capsys):
     assert sorted(os.listdir(flagged)) == sorted(os.listdir(plain))
     for name in os.listdir(plain):
         assert (flagged / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_reproduce_names_the_config_keys_it_ignores(tmp_path, capsys):
+    """Model keys from --config are named on the same single warning
+    line as model flags, without "--"; grid and tol are used and change
+    no byte of the output."""
+    cfgfile = tmp_path / "run.json"
+    settings = {"sigma": 9, "tol": 1e-10, "n": 50, "grid": 2048}
+    cfgfile.write_text(json.dumps(settings), encoding="utf-8")
+    plain, configured = tmp_path / "plain", tmp_path / "configured"
+    assert run_cli("reproduce", "fig1", "--out", str(plain)) == 0
+    capsys.readouterr()
+    argv = ("reproduce", "fig1", "--config", str(cfgfile), "--k", "5")
+    assert run_cli(*argv, "--out", str(configured)) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("warning: reproduce fig1 uses its own model parameters")
+    assert re.findall(r"--[a-z-]+", line) == ["--k"]
+    assert line.endswith("ignoring --k and config keys n, sigma")
+    assert sorted(os.listdir(configured)) == sorted(os.listdir(plain))
+    for name in os.listdir(plain):
+        assert (configured / name).read_bytes() == (plain / name).read_bytes(), name
 
 
 def reproduce_report(tmp_path, figure, *flags):

@@ -102,6 +102,44 @@ def test_streaming_matches_flat_numpy_reference():
     )
 
 
+@pytest.mark.parametrize("strict", [False, True], ids=["ties", "strict_dominance"])
+def test_fake_streaming_matches_flat_numpy_reference(strict):
+    """simulate_fake draws each chunk's regular turnout before the peers'
+    volunteer count; the same draws scored in one shot with plain numpy
+    give the same mean and SE, with ties to the fakes or without."""
+    p = FakeGameParams(strict_dominance=strict)
+    seed, trials, p_star, n_regular, x_f = 7, 150_001, 0.04, 100, 0.5
+    lead = 1 if strict else 0  # how many more volunteers a win needs
+    sizes = [CHUNK_TRIALS] * (trials // CHUNK_TRIALS)
+    if trials % CHUNK_TRIALS:
+        sizes.append(trials % CHUNK_TRIALS)
+    parts_v, parts_d = [], []
+    for i, size in enumerate(sizes):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+        m = rng.binomial(n_regular, p_star, size=size)
+        k = rng.binomial(p.n_fake - 1, x_f, size=size)
+        assert np.any(k + 1 == m) and np.any(k == m)  # ties occur
+        parts_v.append(
+            np.where(
+                k + 1 >= m + lead,
+                1.0 - p.cost_volunteer_fake,
+                1.0 - p.cost_volunteer_fake - p.cost_failure,
+            )
+        )
+        parts_d.append(np.where(k >= m + lead, 1.0, 1.0 - p.cost_failure))
+    flat_v = np.concatenate(parts_v)
+    flat_d = np.concatenate(parts_d)
+    got = simulate_fake(p_star, n_regular, p, x_f, trials, seed)
+    assert got.volunteer_avg_hat == pytest.approx(float(flat_v.mean()), abs=1e-13)
+    assert got.defector_avg_hat == pytest.approx(float(flat_d.mean()), abs=1e-13)
+    assert got.volunteer_se == pytest.approx(
+        math.sqrt(flat_v.var(ddof=1) / trials), rel=1e-9
+    )
+    assert got.defector_se == pytest.approx(
+        math.sqrt(flat_d.var(ddof=1) / trials), rel=1e-9
+    )
+
+
 # ---------------------------------------------------------------- degenerate
 
 
@@ -220,3 +258,35 @@ def test_simulation_input_validation():
         simulate_fake(0.09, 0, FAKE, 0.5, 100, seed=1)
     with pytest.raises(ValueError):
         simulate_fake(0.09, 100, FAKE, -0.2, 100, seed=1)
+
+
+# ---------------------------------------------------------------- independence
+
+
+def test_oracles_never_call_the_kernel_they_check(monkeypatch):
+    """With the binomial-mixture kernel and both games' gains made to
+    raise, every oracle still returns its value bit for bit."""
+    calls = [
+        lambda: simulate_truth(BASELINE, 0.09, 70_000, seed=2),
+        lambda: simulate_fake(0.04, 100, FakeGameParams(strict_dominance=True), 0.5, 70_000, seed=2),
+        lambda: enumerate_truth_exact(TruthGameParams(n_regular=14, threshold=5, shared_reward=2.0), 0.3),
+        lambda: enumerate_fake_exact(FAKE, 4, 0.37),
+    ]
+    expected = [call() for call in calls]
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("an oracle called the kernel it checks")
+
+    for target in (
+        "vodgame.numerics.mix",
+        "vodgame.truth.mix",
+        "vodgame.fake.mix",
+        "vodgame.truth.payoff_pair_regular",
+        "vodgame.fake._gains",
+    ):
+        monkeypatch.setattr(target, kernel)
+    with pytest.raises(AssertionError):
+        avg_payoff_volunteer(0.3, BASELINE)
+    with pytest.raises(AssertionError):
+        expected_fake_payoffs(0.5, 0.04, 100, FAKE)
+    assert [call() for call in calls] == expected
