@@ -13,7 +13,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -37,11 +38,6 @@ SUMMARY_HEADER = "swept_value,regime,unstable_x,stable_x"
 
 TRUTH_SWEEPABLE = ("n", "k", "c", "alpha", "sigma")
 FAKE_SWEEPABLE = ("f", "cf", "alpha", "pstar")
-
-_INT_FIELDS = {"n", "f", "k", "points", "grid", "trials", "seed"}
-_FLOAT_FIELDS = {"c", "alpha", "cf", "sigma", "pstar", "x", "xf", "xmin", "xmax", "tol"}
-_STR_FIELDS = {"model", "tail"}
-_BOOL_FIELDS = {"strict_dominance", "allow_nonstandard"}
 
 
 @dataclass(frozen=True)
@@ -71,6 +67,51 @@ class RunConfig:
     allow_nonstandard: bool = False
 
 
+# each field's kind from its annotation; pstar's float | None is a float
+_KIND = {
+    name: next(t for t in (*get_args(hint), hint) if t in (bool, int, float, str))
+    for name, hint in get_type_hints(RunConfig).items()
+}
+
+# every common flag, field or not, with its --help text in --help order
+_FLAGS = {
+    "model": "which game to evaluate (default truth)",
+    "n": "number of regular agents",
+    "f": "number of fake-side agents",
+    "k": "validation success threshold",
+    "c": "volunteering cost, regular side",
+    "alpha": "failure cost, both sides",
+    "cf": "volunteering cost, fake side",
+    "sigma": "shared reward pot",
+    "pstar": "regular volunteering probability seen by the fake side "
+             "(default: the validation game's stable equilibrium)",
+    "x": "regular volunteering probability for simulate",
+    "xf": "fake volunteering probability for simulate",
+    "xmin": "curve range lower end",
+    "xmax": "curve range upper end",
+    "points": "curve sample count",
+    "grid": "equilibrium scan grid size",
+    "tol": "root refinement tolerance",
+    "tail": "turnout averaging mode for the fake side",
+    "strict_dominance": "fake push wins only with strictly more volunteers",
+    "trials": "Monte Carlo trial count",
+    "seed": "Monte Carlo seed",
+    "config": "JSON file with RunConfig fields",
+    "out": "output path ('-' for stdout)",
+    "allow_nonstandard": "accept parameter orderings that break the dilemma structure",
+}
+
+_CHOICES = {"model": ("truth", "fake"), "tail": tuple(m.value for m in TailMode)}
+
+# kind -> (what a config-file value of that kind must be, its check)
+_CONFIG_VALUE = {
+    bool: ("a boolean", lambda v: type(v) is bool),
+    int: ("an integer", lambda v: type(v) is int or type(v) is float and v.is_integer()),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    str: ("a string", lambda v: type(v) is str),
+}
+
+
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
@@ -85,51 +126,34 @@ def _load_config_file(path: str) -> dict:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
-    known = {f.name for f in fields(RunConfig)}
     out: dict = {}
     for key, value in raw.items():
-        if key not in known:
+        if key not in _KIND:
             raise ValueError(f"unknown config key {key!r}")
-        if key in _BOOL_FIELDS:
-            if not isinstance(value, bool):
-                raise ValueError(f"config key {key!r} must be a boolean")
-            out[key] = value
-        elif key in _INT_FIELDS:
-            if not (type(value) is int or type(value) is float and value.is_integer()):
-                raise ValueError(f"config key {key!r} must be an integer")
-            out[key] = int(value)
-        elif key in _FLOAT_FIELDS:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"config key {key!r} must be a number")
-            out[key] = float(value)
-        elif key in _STR_FIELDS:
-            if not isinstance(value, str):
-                raise ValueError(f"config key {key!r} must be a string")
-            out[key] = value
+        what, accepts = _CONFIG_VALUE[_KIND[key]]
+        if not accepts(value):
+            raise ValueError(f"config key {key!r} must be {what}")
+        out[key] = _KIND[key](value)
     return out
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    config_path = getattr(args, "config", None)
-    if config_path:
-        cfg = replace(cfg, **_load_config_file(config_path))
-    overrides = {}
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            overrides[f.name] = value
-    if overrides:
-        cfg = replace(cfg, **overrides)
+def _build_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
+    """The run's RunConfig, and where its settings came from:
+    {"flag": {field: value}, "config": {field: value}}; a flag beats
+    the config file, which beats RunConfig's defaults."""
+    given = {
+        "flag": {name: getattr(args, name) for name in _KIND if getattr(args, name) is not None},
+        "config": _load_config_file(args.config) if args.config else {},
+    }
+    cfg = replace(RunConfig(), **{**given["config"], **given["flag"]})
     _validate_config(cfg)
-    return cfg
+    return cfg, given
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    if cfg.model not in ("truth", "fake"):
-        raise ValueError("model must be 'truth' or 'fake'")
-    if cfg.tail not in ("truncated", "full"):
-        raise ValueError("tail must be 'truncated' or 'full'")
+    for name, choices in _CHOICES.items():
+        if getattr(cfg, name) not in choices:
+            raise ValueError(f"{name} must be {' or '.join(map(repr, choices))}")
     if cfg.points < 2:
         raise ValueError("points must be >= 2")
     if cfg.grid < 2:
@@ -241,8 +265,7 @@ def _parse_sweep_values(param: str, raw: str) -> tuple:
     items = [piece.strip() for piece in raw.split(",") if piece.strip()]
     if not items:
         raise ValueError("--values must hold at least one number")
-    kind = int if param in _INT_FIELDS else float
-    return tuple(kind(piece) for piece in items)
+    return tuple(_KIND[param](piece) for piece in items)
 
 
 def run_sweep(base: RunConfig, name: str, values: tuple):
@@ -510,99 +533,52 @@ def cmd_reproduce(figure: str, out_dir: str | None, grid: int, tol: float) -> in
 # ------------------------------------------------------------------ main
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=["truth", "fake"], default=None,
-                        help="which game to evaluate (default truth)")
-    parser.add_argument("--n", type=int, default=None, help="number of regular agents")
-    parser.add_argument("--f", type=int, default=None, help="number of fake-side agents")
-    parser.add_argument("--k", type=int, default=None, help="validation success threshold")
-    parser.add_argument("--c", type=float, default=None, help="volunteering cost, regular side")
-    parser.add_argument("--alpha", type=float, default=None, help="failure cost, both sides")
-    parser.add_argument("--cf", type=float, default=None, help="volunteering cost, fake side")
-    parser.add_argument("--sigma", type=float, default=None, help="shared reward pot")
-    parser.add_argument("--pstar", type=float, default=None,
-                        help="regular volunteering probability seen by the fake side "
-                             "(default: the validation game's stable equilibrium)")
-    parser.add_argument("--x", type=float, default=None,
-                        help="regular volunteering probability for simulate")
-    parser.add_argument("--xf", type=float, default=None,
-                        help="fake volunteering probability for simulate")
-    parser.add_argument("--xmin", type=float, default=None, help="curve range lower end")
-    parser.add_argument("--xmax", type=float, default=None, help="curve range upper end")
-    parser.add_argument("--points", type=int, default=None, help="curve sample count")
-    parser.add_argument("--grid", type=int, default=None, help="equilibrium scan grid size")
-    parser.add_argument("--tol", type=float, default=None, help="root refinement tolerance")
-    parser.add_argument("--tail", choices=["truncated", "full"], default=None,
-                        help="turnout averaging mode for the fake side")
-    parser.add_argument("--strict-dominance", dest="strict_dominance",
-                        action="store_const", const=True, default=None,
-                        help="fake push wins only with strictly more volunteers")
-    parser.add_argument("--trials", type=int, default=None, help="Monte Carlo trial count")
-    parser.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
-    parser.add_argument("--config", default=None, help="JSON file with RunConfig fields")
-    parser.add_argument("--out", default=None, help="output path ('-' for stdout)")
-    parser.add_argument("--allow-nonstandard", dest="allow_nonstandard",
-                        action="store_const", const=True, default=None,
-                        help="accept parameter orderings that break the dilemma structure")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    for name, help_text in _FLAGS.items():
+        flag = "--" + name.replace("_", "-")
+        if _KIND.get(name) is bool:
+            common.add_argument(flag, action="store_const", const=True, help=help_text)
+        else:
+            common.add_argument(flag, type=_KIND.get(name), choices=_CHOICES.get(name),
+                                help=help_text)
     parser = argparse.ArgumentParser(
         prog="vodgame",
         description="Mixed equilibria of the news-validation volunteering game "
                     "and the fake-news dissemination game.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_curve = sub.add_parser("curve", help="sample average payoffs and net over a range")
-    _add_common_flags(p_curve)
-
-    p_eq = sub.add_parser("equilibria", help="locate and classify mixed equilibria")
-    _add_common_flags(p_eq)
-
-    p_sweep = sub.add_parser("sweep", help="repeat curve and equilibria over a parameter")
-    _add_common_flags(p_sweep)
+    sub.add_parser("curve", parents=[common], help="sample average payoffs and net over a range")
+    sub.add_parser("equilibria", parents=[common], help="locate and classify mixed equilibria")
+    p_sweep = sub.add_parser("sweep", parents=[common],
+                             help="repeat curve and equilibria over a parameter")
     p_sweep.add_argument("--param", required=True, help="parameter to sweep")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo self-check against the formulas")
-    _add_common_flags(p_sim)
-
-    p_rep = sub.add_parser("reproduce", help="rebuild a reference figure's data and checks")
-    _add_common_flags(p_rep)
+    sub.add_parser("simulate", parents=[common], help="Monte Carlo self-check against the formulas")
+    p_rep = sub.add_parser("reproduce", parents=[common],
+                           help="rebuild a reference figure's data and checks")
     p_rep.add_argument("figure", choices=["fig1", "fig2", "fig3"])
-
     return parser
 
 
-def _warn_ignored_settings(args: argparse.Namespace) -> None:
-    # reproduce fixes every model parameter of its figure; only the scan
-    # settings grid and tol (and --out, --config) reach it, whether from
-    # a flag or from the config file
-    used = ("grid", "tol")
-    from_file = _load_config_file(args.config) if args.config else {}
-    flags = [
-        "--" + f.name.replace("_", "-")
-        for f in fields(RunConfig)
-        if f.name not in used and getattr(args, f.name) is not None
-    ]
-    keys = [f.name for f in fields(RunConfig) if f.name not in used and f.name in from_file]
-    ignored = [", ".join(flags)] if flags else []
+def _warn_ignored(what: str, given: dict, ignored) -> None:
+    """Name on one stderr line each setting in ignored that a flag or
+    the config file gave: flags with their "--", config keys without."""
+    flags = ["--" + name.replace("_", "-") for name in _KIND
+             if name in ignored and name in given["flag"]]
+    keys = [name for name in _KIND if name in ignored and name in given["config"]]
+    parts = [", ".join(flags)] if flags else []
     if keys:
-        ignored.append("config keys " + ", ".join(keys))
-    if ignored:
-        print(
-            f"warning: reproduce {args.figure} uses its own model parameters; "
-            f"ignoring {' and '.join(ignored)}",
-            file=sys.stderr,
-        )
+        parts.append("config keys " + ", ".join(keys))
+    if parts:
+        print(f"warning: {what}; ignoring {' and '.join(parts)}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _build_config(args)
+        cfg, given = _build_config(args)
         if args.command == "curve":
             return cmd_curve(cfg, args.out)
         if args.command == "equilibria":
@@ -610,9 +586,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.param, args.values, args.out)
         if args.command == "simulate":
+            if cfg.model == "fake":
+                _warn_ignored("simulate always checks the full turnout average", given, {"tail"})
+            else:
+                _warn_ignored("simulate of the truth model has no fake side", given,
+                              {"strict_dominance"})
             return cmd_simulate(cfg)
         if args.command == "reproduce":
-            _warn_ignored_settings(args)
+            # the figure fixes every model parameter; only the scan
+            # settings grid and tol (and --out, --config) reach it
+            _warn_ignored(f"reproduce {args.figure} uses its own model parameters", given,
+                          set(_KIND) - {"grid", "tol"})
             return cmd_reproduce(args.figure, args.out, cfg.grid, cfg.tol)
         raise ValueError(f"unknown command {args.command!r}")
     except ValueError as exc:

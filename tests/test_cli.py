@@ -1,5 +1,5 @@
 """End-to-end checks of the command-line surface: output formats,
-config precedence, exit codes, and determinism under threading."""
+config precedence, exit codes, and determinism across runs."""
 
 import json
 import os
@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -18,16 +19,13 @@ from vodgame.cli import (
     SWEEP_HEADER,
     TRUTH_SWEEPABLE,
     RunConfig,
+    _build_config,
+    _load_config_file,
     _parse_sweep_values,
+    build_parser,
     main,
 )
 from vodgame.truth import TruthGameParams, payoff_pair_regular
-
-
-@pytest.fixture(autouse=True)
-def _single_thread(monkeypatch):
-    # tests that care about thread counts override this themselves
-    monkeypatch.setenv("VOD_THREADS", "1")
 
 
 def run_cli(*argv):
@@ -251,6 +249,32 @@ def test_simulate_fake_derives_turnout_from_equilibrium(capsys):
     assert abs(doc["z_v"]) <= 5.0
 
 
+@pytest.mark.parametrize(
+    "model,name,value,warning",
+    [
+        ("fake", "tail", "truncated", "warning: simulate always checks the full turnout average"),
+        ("truth", "strict_dominance", True, "warning: simulate of the truth model has no fake side"),
+    ],
+)
+def test_simulate_names_the_settings_it_ignores(tmp_path, capsys, model, name, value, warning):
+    """A setting simulate never reads for its model is named on one stderr
+    line, as a flag with its "--" and as a config key without; stdout
+    and the exit code stay those of a plain run."""
+    base = ("simulate", "--model", model, "--pstar", "0.06", "--trials", "2000", "--seed", "7")
+    assert run_cli(*base) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    flag = "--" + name.replace("_", "-")
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({name: value}), encoding="utf-8")
+    flag_argv = (flag,) if value is True else (flag, value)
+    for extra, named in ((flag_argv, flag), (("--config", str(cfgfile)), "config keys " + name)):
+        assert run_cli(*base, *extra) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain.out
+        assert captured.err == f"{warning}; ignoring {named}\n"
+
+
 def test_simulate_fake_needs_pstar_when_no_equilibrium(capsys):
     code = run_cli("simulate", "--model", "fake", "--sigma", "3",
                    "--trials", "1000")
@@ -402,22 +426,99 @@ def test_flag_beats_config_beats_default(tmp_path, capsys):
     assert RunConfig().sigma == 5.0
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [
-        '{"sigma": "7"}',          # wrong type
-        '{"mystery": 1}',          # unknown key
-        '{"strict_dominance": 1}',  # int is not a bool
-        '[1, 2]',                  # not an object
-        '{"sigma": 7',             # malformed JSON
-        '{"n": Infinity}',         # non-finite integer field
-        '{"tol": NaN}',            # non-finite tolerance
-    ],
-)
-def test_config_file_validation(tmp_path, payload):
+CONFIG_FILES = [
+    # (file content, what the error says, or None where it is accepted)
+    ('{"sigma": "7"}', "config key 'sigma' must be a number"),
+    ('{"mystery": 1}', "unknown config key 'mystery'"),
+    ('{"strict_dominance": 1}', "config key 'strict_dominance' must be a boolean"),
+    ('[1, 2]', "config file must hold a JSON object"),
+    ('{"sigma": 7', "is not valid JSON"),
+    ('{"n": Infinity}', "config key 'n' must be an integer"),
+    ('{"tol": NaN}', "tol must be positive and finite"),
+    ('{"model": 3}', "config key 'model' must be a string"),
+    ('{"trials": 1.5}', "config key 'trials' must be an integer"),
+    ('{"sigma": true}', "config key 'sigma' must be a number"),
+    ('{"pstar": null}', "config key 'pstar' must be a number"),
+    ('{"trials": 5.0}', None),
+]
+
+
+@pytest.mark.parametrize("payload,error", CONFIG_FILES, ids=[p for p, _ in CONFIG_FILES])
+def test_config_file_validation(tmp_path, capsys, payload, error):
     cfgfile = tmp_path / "bad.json"
     cfgfile.write_text(payload, encoding="utf-8")
-    assert run_cli("equilibria", "--config", str(cfgfile)) == 2
+    code = run_cli("equilibria", "--config", str(cfgfile))
+    err = capsys.readouterr().err
+    if error is None:
+        assert code == 0 and err == ""
+        (value,) = _load_config_file(str(cfgfile)).values()
+        assert value == 5 and type(value) is int
+    else:
+        assert code == 2
+        assert err.startswith("error: ") and error in err
+
+
+# a flag's text and a different config-file value for every RunConfig field
+FIELD_VALUES = {
+    "model": ("fake", "truth"),
+    "n": ("50", 60),
+    "f": ("4", 5),
+    "k": ("5", 7),
+    "c": ("0.4", 0.3),
+    "alpha": ("0.8", 0.7),
+    "cf": ("0.2", 0.3),
+    "sigma": ("6", 7),
+    "pstar": ("0.05", 0.06),
+    "x": ("0.1", 0.2),
+    "xf": ("0.3", 0.4),
+    "xmin": ("0.1", 0.2),
+    "xmax": ("0.8", 0.9),
+    "points": ("11", 12),
+    "grid": ("64", 65),
+    "tol": ("1e-9", 1e-8),
+    "tail": ("truncated", "full"),
+    "strict_dominance": (None, False),
+    "trials": ("10", 20),
+    "seed": ("1", 2),
+    "allow_nonstandard": (None, False),
+}
+COMMANDS = {
+    "curve": (),
+    "equilibria": (),
+    "sweep": ("--param", "sigma", "--values", "5"),
+    "simulate": (),
+    "reproduce": ("fig1",),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+def test_every_field_is_a_flag_of_every_command(tmp_path, command, field):
+    """Each RunConfig field's flag parses to a value of the field's type
+    (a boolean's flag takes no value and sets it) and beats the field's
+    config-file key."""
+    text, from_file = FIELD_VALUES[field.name]
+    flag = ["--" + field.name.replace("_", "-")] + ([] if text is None else [text])
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({field.name: from_file}), encoding="utf-8")
+    argv = [command, *COMMANDS[command], *flag, "--config", str(cfgfile)]
+    cfg, given = _build_config(build_parser().parse_args(argv))
+    value = getattr(cfg, field.name)
+    assert type(value).__name__ == field.type.split(" | ")[0]  # pstar: "float | None"
+    want = True if text is None else type(value)(text)
+    assert value == want != from_file
+    assert given["flag"] == {field.name: want}
+    assert given["config"] == {field.name: from_file}
+
+
+def test_readme_parameter_table_lists_every_field():
+    """README's "Parameters and defaults" table names each RunConfig
+    field's flag, and names no other flag."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Parameters and defaults")[1].split("\n\n")[1]
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+    flags = {flag for row in rows for flag in re.findall(r"--([a-z-]+)", row)}
+    assert flags == {f.name.replace("_", "-") for f in fields(RunConfig)}
 
 
 def test_config_file_missing(tmp_path):
@@ -475,21 +576,20 @@ def test_nonstandard_costs_need_explicit_opt_in(tmp_path, capsys):
                    "--allow-nonstandard", "--out", str(out)) == 0
 
 
-# ---------------------------------------------------------------- threading
+# ---------------------------------------------------------------- determinism
 
 
-def test_sweep_output_is_identical_across_thread_counts(tmp_path, monkeypatch):
+def test_sweep_output_is_identical_across_runs(tmp_path):
     outputs = {}
-    for n in ("1", "3"):
-        monkeypatch.setenv("VOD_THREADS", n)
-        out = tmp_path / f"t{n}.csv"
+    for run in ("first", "second"):
+        out = tmp_path / f"{run}.csv"
         assert run_cli("sweep", "--param", "sigma", "--values", "5,6,7,8",
                        "--out", str(out)) == 0
-        outputs[n] = (
+        outputs[run] = (
             out.read_bytes(),
-            (tmp_path / f"t{n}_summary.csv").read_bytes(),
+            (tmp_path / f"{run}_summary.csv").read_bytes(),
         )
-    assert outputs["1"] == outputs["3"]
+    assert outputs["first"] == outputs["second"]
 
 
 # ---------------------------------------------------------------- entry point
