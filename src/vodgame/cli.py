@@ -587,10 +587,11 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sweep(cfg, args.param, args.values, args.out)
         if args.command == "simulate":
             if cfg.model == "fake":
-                _warn_ignored("simulate always checks the full turnout average", given, {"tail"})
+                _warn_ignored("simulate always checks the full turnout average", given,
+                              {"tail", "x"})
             else:
                 _warn_ignored("simulate of the truth model has no fake side", given,
-                              {"strict_dominance"})
+                              {"f", "cf", "pstar", "xf", "tail", "strict_dominance"})
             return cmd_simulate(cfg)
         if args.command == "reproduce":
             # the figure fixes every model parameter; only the scan

@@ -96,18 +96,24 @@ def _gains(weights: np.ndarray, p: FakeGameParams):
     # agent's 0..n_fake-1 volunteering peers, averaged over the regular
     # turnout M ~ weights: P[M = 0..n_fake], then the mass above n_fake
     # that the total counts (0.0 under TRUNCATED). Every M above n_fake
-    # loses for both roles
+    # loses for both roles. The gains are built when mix calls for them,
+    # so a subnormal weight underflows under mix's np.errstate
     f = p.n_fake
-    # below[i] = P[M < i] over M = 0..n_fake, for i = 0..n_fake + 1 at least
-    below = np.cumsum(np.concatenate(([0.0], weights[: f + 1], np.zeros(f + 1))))
-    total = below[-1] + weights[f + 1]
-    # with j peers a defector wins iff M < lo = j + 1 - s and a volunteer
-    # iff M < lo + 1, where s = 1 under strict dominance
-    lo = np.arange(f) + (0 if p.strict_dominance else 1)
-    g = np.empty((2, f))
-    g[0] = (1.0 - p.cost_volunteer_fake - p.cost_failure) * total + p.cost_failure * below[lo + 1]
-    g[1] = (1.0 - p.cost_failure) * total + p.cost_failure * below[lo]
-    return lambda m: g.take(m, axis=1)
+
+    def gains(m: np.ndarray) -> np.ndarray:
+        # below[i] = P[M < i] over M = 0..n_fake, for i = 0..n_fake + 1 at least
+        below = np.cumsum(np.concatenate(([0.0], weights[: f + 1], np.zeros(f + 1))))
+        total = below[-1] + weights[f + 1]
+        # with j peers a defector wins iff M < lo = j + 1 - s and a volunteer
+        # iff M < lo + 1, where s = 1 under strict dominance
+        lo = m + (0 if p.strict_dominance else 1)
+        g = np.empty((2, m.size))
+        lose_v = 1.0 - p.cost_volunteer_fake - p.cost_failure
+        g[0] = lose_v * total + p.cost_failure * below[lo + 1]
+        g[1] = (1.0 - p.cost_failure) * total + p.cost_failure * below[lo]
+        return g
+
+    return gains
 
 
 def _gains_against(regular_volunteers: int, p: FakeGameParams):

@@ -11,11 +11,20 @@ mass past t on each side, so every entry out there has a log pmf below
 log pmf's rounding error stays near 1e-7 at n = 10^6. Shorter rows, at
 most one tile of mix's sums, are built whole: at n = 100 the window
 arithmetic costs more than the entries it skips.
+
+Inside a window, tile rounding and the bound's slack still leave entries
+whose log pmf is below -746 (31% of those built for a 2048-point grid at
+n = 10^4). exp is evaluated only where the log is at least -746, which
+covers every entry it can make non-zero, and 0.0 is written elsewhere:
+there exp returns exactly 0.0, at over ten times the cost of an ordinary
+entry. Subnormal entries, logs in [-745.13, -708.4], still go through
+exp, so every entry is bitwise what exp gives when it runs on all.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +36,11 @@ __all__ = ["require_probability", "pmf_row", "mix"]
 _BLOCK_ENTRIES = 1 << 16
 _TILE = 1 << 10  # aligned counts that mix sums as one piece; see mix
 _TAIL = 746.0  # -log of the pmf mass left out past each end of a window
+_EXP_FLOOR = -_TAIL  # pmf entries with a log below it are 0.0, exp's value there
+_LOG0 = -sys.float_info.max  # log 0 in _pmf_block: finite, so 0 * log 0 is 0
+# the floating-point events the kernel raises by design: log 0, m * log 0
+# overflowing to -inf, and exp and the products of tiny entries underflowing
+_BY_DESIGN = {"divide": "ignore", "over": "ignore", "under": "ignore"}
 
 # log Gamma(x) ~ (x - 1/2) log x - x + log sqrt(2 pi) + P(1/x^2) / x, with
 # the coefficients of P of the Cephes lgam behind scipy.special.gammaln,
@@ -49,7 +63,7 @@ def require_probability(value, name: str = "probability"):
     """
     if isinstance(value, np.ndarray):
         v = value.astype(np.float64, copy=False)
-        ok = np.all((v >= 0.0) & (v <= 1.0))
+        ok = ((v >= 0.0) & (v <= 1.0)).all()
     else:
         v = float(value)
         ok = 0.0 <= v <= 1.0
@@ -84,15 +98,14 @@ def _log_choose_row(n: int) -> np.ndarray:
 
 
 def _pmf_block(n: int, xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    # Binomial(n, x) pmf at m = lo..hi-1 for each x of a checked 1-d array
+    # Binomial(n, x) pmf at m = lo..hi-1 for each x of a checked 1-d array,
+    # under its caller's np.errstate(**_BY_DESIGN); exp runs only on the
+    # entries whose log reaches _EXP_FLOOR, as below it exp returns 0.0
     m = np.arange(lo, min(hi, n + 1), dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        block = np.multiply.outer(np.log(xs), m)
-        block += _log_choose_row(n)[lo:hi]
-        block += np.multiply.outer(np.log1p(-xs), n - m)
-    np.exp(block, out=block)
-    block[np.isnan(block)] = 1.0  # 0 * log(0) at x = 0 or 1: 0^0 = 1
-    return block
+    block = np.maximum(np.log(xs), _LOG0)[:, None] * m
+    block += _log_choose_row(n)[lo:hi]
+    block += np.maximum(np.log1p(-xs), _LOG0)[:, None] * (n - m)
+    return np.exp(block, out=np.zeros(block.shape), where=block >= _EXP_FLOOR)
 
 
 def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -103,6 +116,7 @@ def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(nx - t, 0.0).astype(int), np.minimum(nx + t, n).astype(int) + 1
 
 
+@np.errstate(**_BY_DESIGN)
 def _pmf_window(n: int, x: float) -> tuple[int, np.ndarray]:
     # first count lo and the Binomial(n, x) pmf entries from lo on inside
     # x's Bernstein window; below one tile of counts the whole row
@@ -129,6 +143,7 @@ def pmf_row(n: int, x: float) -> np.ndarray:
     return row
 
 
+@np.errstate(**_BY_DESIGN)
 def mix(gains, n: int, xs) -> np.ndarray:
     """sum_m g[m] * P[M = m] for M ~ Binomial(n, x), for each gain
     sequence g over m = 0..n, at every x in xs; the result has shape
@@ -149,6 +164,11 @@ def mix(gains, n: int, xs) -> np.ndarray:
     of counts. Each tile is summed on its own, row by row, and the tiles
     are added in count order; a tile outside a point's window adds 0.0, so
     a point's value does not depend on the other points in xs.
+
+    The kernel's log 0, its m * log 0 overflowing to -inf and the
+    underflow of exp and of products with tiny entries are by design: mix
+    and pmf_row ignore them under one np.errstate per call, so a caller's
+    np.errstate(all="raise") does not stop them.
     """
     xs = np.asarray(require_probability(xs, "x"))
     flat = xs.ravel()
@@ -172,16 +192,19 @@ def mix(gains, n: int, xs) -> np.ndarray:
         m = np.concatenate([np.arange(a, min(b, n)) for a, b in runs] + [[n]])
         spans = zip(firsts.tolist(), ends.tolist(), np.searchsorted(m, firsts).tolist())
     g = gains(m)
+    offsets = g - g[:, -1:]
     out = np.zeros((len(g), flat.size))
     for i, (first, end, col) in zip(starts, spans):
         pts = slice(i, i + step)
+        rows = out[:, pts]
         for lo in range(first, end, _BLOCK_ENTRIES):
             hi = min(lo + _BLOCK_ENTRIES, end)
             block = _pmf_block(n, flat[pts], lo, hi)
-            for gk, sums in zip(g, out[:, pts]):
-                offsets = gk[col + lo - first : col + hi - first] - gk[-1]
-                for t in range(0, hi - lo, _TILE):
-                    tile = slice(t, t + _TILE)
-                    sums += (block[:, tile] * offsets[tile]).sum(axis=1)
+            gks = offsets[:, col + lo - first : col + hi - first]
+            for t in range(0, hi - lo, _TILE):
+                tile = slice(t, t + _TILE)
+                part = block[:, tile]
+                for gk, sums in zip(gks[:, tile], rows):
+                    sums += np.add.reduce(part * gk, 1)
     out += g[:, -1:]
     return out.reshape((len(g),) + xs.shape)

@@ -249,25 +249,38 @@ def test_simulate_fake_derives_turnout_from_equilibrium(capsys):
     assert abs(doc["z_v"]) <= 5.0
 
 
+_FAKE_WARNING = "warning: simulate always checks the full turnout average"
+_TRUTH_WARNING = "warning: simulate of the truth model has no fake side"
+
+
 @pytest.mark.parametrize(
     "model,name,value,warning",
     [
-        ("fake", "tail", "truncated", "warning: simulate always checks the full turnout average"),
-        ("truth", "strict_dominance", True, "warning: simulate of the truth model has no fake side"),
+        ("fake", "tail", "truncated", _FAKE_WARNING),
+        ("truth", "strict_dominance", True, _TRUTH_WARNING),
+        ("fake", "x", 0.3, _FAKE_WARNING),
+        ("truth", "f", 3, _TRUTH_WARNING),
+        ("truth", "cf", 0.2, _TRUTH_WARNING),
+        ("truth", "pstar", 0.06, _TRUTH_WARNING),
+        ("truth", "xf", 0.3, _TRUTH_WARNING),
+        ("truth", "tail", "truncated", _TRUTH_WARNING),
     ],
 )
 def test_simulate_names_the_settings_it_ignores(tmp_path, capsys, model, name, value, warning):
     """A setting simulate never reads for its model is named on one stderr
     line, as a flag with its "--" and as a config key without; stdout
-    and the exit code stay those of a plain run."""
-    base = ("simulate", "--model", model, "--pstar", "0.06", "--trials", "2000", "--seed", "7")
+    and the exit code stay those of a plain run. The fake model reads
+    --pstar, so only its plain run passes it."""
+    base = ("simulate", "--model", model, "--trials", "2000", "--seed", "7")
+    if model == "fake":
+        base += ("--pstar", "0.06")
     assert run_cli(*base) == 0
     plain = capsys.readouterr()
     assert plain.err == ""
     flag = "--" + name.replace("_", "-")
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps({name: value}), encoding="utf-8")
-    flag_argv = (flag,) if value is True else (flag, value)
+    flag_argv = (flag,) if value is True else (flag, str(value))
     for extra, named in ((flag_argv, flag), (("--config", str(cfgfile)), "config keys " + name)):
         assert run_cli(*base, *extra) == 0
         captured = capsys.readouterr()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from exact_binomial import exact_pmf
 
+from vodgame import numerics
 from vodgame.equilibrium import DEGENERATE, UNSTABLE, find_equilibria
 from vodgame.numerics import (
     _log_choose_row,
@@ -218,6 +219,79 @@ def test_mix_reads_gains_once_inside_its_windows():
     mix(gains, 100, np.array([0.2, 0.7]))
     (m,) = asked
     assert np.array_equal(m, np.arange(101))
+
+
+def _bits(values):
+    # a float array's bit patterns, so that -0.0 and 0.0 differ
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [7, 99, 1023, 10**4, 2 * 10**5 + 3])
+def test_skipping_exp_below_the_floor_changes_no_bit(n, monkeypatch):
+    """exp runs only on pmf entries whose log reaches _EXP_FLOOR. With the
+    floor at -inf every entry goes through exp, and pmf_row and both
+    games' payoffs keep every bit, on arrays shuffled across pmf blocks."""
+    from vodgame.fake import FakeGameParams, expected_fake_payoffs
+    from vodgame.truth import TruthGameParams, payoff_pair_regular
+
+    values = [0.0, 5e-324, 1e-9, 3e-4, 0.5, 1 - 1e-7, 1.0]
+    size = 2 * numerics._BLOCK_ENTRIES // (n + 1) + len(values)
+    xs = np.random.default_rng(n).permutation(np.resize(values, size))
+    truth = TruthGameParams(n_regular=n, threshold=6)
+    fake = FakeGameParams()
+
+    def evaluate():
+        pairs = [payoff_pair_regular(xs, truth)]
+        pairs += [expected_fake_payoffs(xs, p, n, fake) for p in values]
+        payoffs = [v for p in pairs for v in (p.volunteer_avg, p.defector_avg, p.net)]
+        return [pmf_row(n, x) for x in values] + payoffs
+
+    skipped = evaluate()
+    monkeypatch.setattr(numerics, "_EXP_FLOOR", -np.inf)
+    for got, want in zip(evaluate(), skipped, strict=True):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("n", [7, 99, 10**4, 10**6])
+def test_kernel_ignores_its_own_underflow_when_numpy_raises(n):
+    """log 0, m * log 0 and the underflow of exp and of products with
+    subnormal entries happen by design. Under np.errstate(all="raise")
+    the kernel and both games return the same bits as by default."""
+    from vodgame.fake import FakeGameParams, avg_payoff_fake_volunteer, expected_fake_payoffs
+    from vodgame.truth import TruthGameParams, payoff_pair_regular
+
+    xs = np.array([0.0, 5e-324, 3e-5, 0.5, 1.0])
+    truth = TruthGameParams(n_regular=n, threshold=6)
+    peers = FakeGameParams(n_fake=n + 1)  # n volunteering peers
+
+    def evaluate():
+        out = [payoff_pair_regular(xs, truth).net, avg_payoff_fake_volunteer(xs, 3, peers)]
+        for x in xs:
+            out.append(pmf_row(n, x))
+            out.append(payoff_pair_regular(x, truth).net)
+            out.append(expected_fake_payoffs(xs, x, n, FakeGameParams()).net)
+            out.append(avg_payoff_fake_volunteer(x, 3, peers))
+        return out
+
+    plain = evaluate()
+    with np.errstate(all="raise"):
+        raising = evaluate()
+    for got, want in zip(raising, plain, strict=True):
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_fake_gains_underflow_inside_the_kernel():
+    """At n_regular = 1030 and p* = 0.5 the turnout weight P[M = 0] =
+    2^-1030 is subnormal, and the fake side's gains scale it; mix builds
+    those gains under its own np.errstate, so numpy raising stays quiet."""
+    from vodgame.fake import FakeGameParams, expected_fake_payoffs
+
+    assert 0.0 < pmf_row(1030, 0.5)[0] < np.finfo(float).tiny
+    xs = np.array([0.0, 0.5, 1.0])
+    plain = expected_fake_payoffs(xs, 0.5, 1030, FakeGameParams())
+    with np.errstate(all="raise"):
+        raising = expected_fake_payoffs(xs, 0.5, 1030, FakeGameParams())
+    assert np.array_equal(_bits(raising.net), _bits(plain.net))
 
 
 # ---------------------------------------------------------------- validation
