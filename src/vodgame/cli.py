@@ -30,7 +30,7 @@ from .equilibrium import (
 from .fake import FakeGameParams, TailMode, expected_fake_payoffs, expected_net_payoff_fake
 from .numerics import require_probability
 from .oracle import simulate_fake, simulate_truth
-from .truth import TruthGameParams, payoff_pair_regular
+from .truth import TruthGameParams, net_payoff_regular, payoff_pair_regular
 
 CURVE_HEADER = "x,volunteer_avg,defector_avg,net"
 SWEEP_HEADER = "swept_name,swept_value,x,net"
@@ -203,15 +203,23 @@ def _resolve_pstar(cfg: RunConfig) -> float:
     return derived
 
 
-def _pair_fn(cfg: RunConfig):
+def _model_fns(cfg: RunConfig):
+    """cfg's model as (pair, net): its PayoffPair and its net payoff at x,
+    a float or an array. The fake model's p* is resolved once, here."""
     if cfg.model == "truth":
         params = _truth_params(cfg)
-        return lambda x: payoff_pair_regular(x, params)
+        return (
+            lambda x: payoff_pair_regular(x, params),
+            lambda x: net_payoff_regular(x, params),
+        )
     params = _fake_params(cfg)
     p_star = _resolve_pstar(cfg)
     tail = TailMode(cfg.tail)
     n = cfg.n
-    return lambda x: expected_fake_payoffs(x, p_star, n, params, tail)
+    return (
+        lambda x: expected_fake_payoffs(x, p_star, n, params, tail),
+        lambda x: expected_net_payoff_fake(x, p_star, n, params, tail),
+    )
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -232,7 +240,8 @@ def _csv(header: str, rows) -> str:
 
 
 def cmd_curve(cfg: RunConfig, out: str | None) -> int:
-    sample = sample_curve(_pair_fn(cfg), (cfg.xmin, cfg.xmax), cfg.points)
+    pair, _ = _model_fns(cfg)
+    sample = sample_curve(pair, (cfg.xmin, cfg.xmax), cfg.points)
     rows = [
         (_fmt(x), _fmt(v), _fmt(d), _fmt(nv))
         for x, v, d, nv in zip(sample.xs, sample.volunteer_avg, sample.defector_avg, sample.net)
@@ -242,8 +251,8 @@ def cmd_curve(cfg: RunConfig, out: str | None) -> int:
 
 
 def cmd_equilibria(cfg: RunConfig) -> int:
-    pair = _pair_fn(cfg)
-    report = find_equilibria(lambda x: pair(x).net, cfg.grid, cfg.tol)
+    _, net = _model_fns(cfg)
+    report = find_equilibria(net, cfg.grid, cfg.tol)
     payload = {
         "regime": report.regime,
         "equilibria": [
@@ -278,9 +287,9 @@ def run_sweep(base: RunConfig, name: str, values: tuple):
     results = []
     for value in values:
         cfg = replace(base, **{name: value})
-        pair = _pair_fn(cfg)
+        pair, net = _model_fns(cfg)
         sample = sample_curve(pair, (cfg.xmin, cfg.xmax), cfg.points)
-        report = find_equilibria(lambda x: pair(x).net, cfg.grid, cfg.tol)
+        report = find_equilibria(net, cfg.grid, cfg.tol)
         results.append((value, sample, report))
     return results
 
@@ -579,6 +588,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, given = _build_config(args)
+        if args.command in ("curve", "equilibria", "sweep"):
+            what = f"{args.command} runs no simulation"
+            ignored = {"x", "xf", "trials", "seed"}
+            if args.command == "sweep":
+                what += f" and takes {args.param} from --values"
+                ignored.add(args.param)
+            _warn_ignored(what, given, ignored)
         if args.command == "curve":
             return cmd_curve(cfg, args.out)
         if args.command == "equilibria":

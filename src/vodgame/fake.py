@@ -116,6 +116,12 @@ def _gains(weights: np.ndarray, p: FakeGameParams):
     return gains
 
 
+def _net_gains(weights: np.ndarray, p: FakeGameParams):
+    # mix's gains callable for the net alone: volunteer minus defector gains
+    gains = _gains(weights, p)
+    return lambda m: np.subtract(*gains(m))[None]
+
+
 def _gains_against(regular_volunteers: int, p: FakeGameParams):
     # _gains for a known turnout, from one-hot weights whose last entry
     # stands for every turnout above n_fake
@@ -143,6 +149,24 @@ def avg_payoff_fake_defector(
     return mix(_gains_against(regular_volunteers, params), params.n_fake - 1, x_f)[1]
 
 
+def _turnout(p_star: float, n_regular: int, params: FakeGameParams, tail: TailMode) -> np.ndarray:
+    # _gains' weights for M ~ Binomial(n_regular, p_star): P[M = 0..n_fake]
+    # and, under FULL, the mass above, read from M's Bernstein window alone.
+    # The mass is summed rather than taken as 1 - kept: a pmf row's mass
+    # misses 1 by ~3e-10 at n_regular = 10^6
+    p_star = require_probability(p_star, "p_star")
+    if n_regular < 1:
+        raise ValueError("n_regular must be at least 1")
+    f = params.n_fake
+    lo, entries = _pmf_window(n_regular, p_star)
+    weights = np.zeros(f + 2)
+    head = entries[: max(f + 1 - lo, 0)]
+    weights[lo : lo + head.size] = head
+    if tail is TailMode.FULL:
+        weights[f + 1] = entries[head.size :].sum()
+    return weights
+
+
 def expected_fake_payoffs(
     x_f,
     p_star: float,
@@ -156,20 +180,8 @@ def expected_fake_payoffs(
     p_star is the regular agents' volunteering probability, normally
     their stable equilibrium. See TailMode for the averaging range.
     """
-    p_star = require_probability(p_star, "p_star")
-    if n_regular < 1:
-        raise ValueError("n_regular must be at least 1")
-    # P[M = 0..n_fake] and, under FULL, the mass above, read from M's
-    # Bernstein window alone. The mass is summed rather than taken as
-    # 1 - kept: a pmf row's mass misses 1 by ~3e-10 at n_regular = 10^6
-    f = params.n_fake
-    lo, entries = _pmf_window(n_regular, p_star)
-    weights = np.zeros(f + 2)
-    head = entries[: max(f + 1 - lo, 0)]
-    weights[lo : lo + head.size] = head
-    if tail is TailMode.FULL:
-        weights[f + 1] = entries[head.size :].sum()
-    v, d = mix(_gains(weights, params), f - 1, x_f)
+    weights = _turnout(p_star, n_regular, params, tail)
+    v, d = mix(_gains(weights, params), params.n_fake - 1, x_f)
     return PayoffPair(v, d, v - d)
 
 
@@ -181,5 +193,11 @@ def expected_net_payoff_fake(
     tail: TailMode = TailMode.FULL,
 ) -> float:
     """Net gain from joining the push rather than sitting out; zero at
-    the fake side's mixed equilibria."""
-    return expected_fake_payoffs(x_f, p_star, n_regular, params, tail).net
+    the fake side's mixed equilibria.
+
+    It mixes the net's own gain sequence, the volunteer's gains minus the
+    defector's, so it agrees with expected_fake_payoffs(...).net to
+    rounding, not bit for bit.
+    """
+    weights = _turnout(p_star, n_regular, params, tail)
+    return mix(_net_gains(weights, params), params.n_fake - 1, x_f)[0]

@@ -19,6 +19,17 @@ covers every entry it can make non-zero, and 0.0 is written elsewhere:
 there exp returns exactly 0.0, at over ten times the cost of an ordinary
 entry. Subnormal entries, logs in [-745.13, -708.4], still go through
 exp, so every entry is bitwise what exp gives when it runs on all.
+
+mix works through its points in blocks of at most 2^16 pmf entries, in
+a workspace it allocates once per call, sized for the largest block the
+call builds: one float buffer takes a block's log pmf and then the
+block's products with every gain sequence, one takes the pmf, and a
+boolean one marks the entries exp runs on. Per block, one multiply forms
+the products of all sequences, one reduce sums every full tile of 1024
+counts and one more a partial last tile, and the tile sums are added in
+count order: the same sums, in the same order, as a loop over tiles and
+sequences. No array mix or pmf_row returns shares memory with the
+workspace.
 """
 
 from __future__ import annotations
@@ -97,15 +108,17 @@ def _log_choose_row(n: int) -> np.ndarray:
     return row
 
 
-def _pmf_block(n: int, xs: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _pmf_block(n: int, xs: np.ndarray, lo: int, hi: int, out, log, mask) -> np.ndarray:
     # Binomial(n, x) pmf at m = lo..hi-1 for each x of a checked 1-d array,
-    # under its caller's np.errstate(**_BY_DESIGN); exp runs only on the
+    # written to out and returned, under its caller's np.errstate(**_BY_DESIGN);
+    # log and mask are work arrays of out's shape. exp runs only on the
     # entries whose log reaches _EXP_FLOOR, as below it exp returns 0.0
-    m = np.arange(lo, min(hi, n + 1), dtype=np.float64)
-    block = np.maximum(np.log(xs), _LOG0)[:, None] * m
-    block += _log_choose_row(n)[lo:hi]
-    block += np.maximum(np.log1p(-xs), _LOG0)[:, None] * (n - m)
-    return np.exp(block, out=np.zeros(block.shape), where=block >= _EXP_FLOOR)
+    m = np.arange(lo, hi, dtype=np.float64)
+    np.multiply(np.maximum(np.log(xs), _LOG0)[:, None], m, out=log)
+    log += _log_choose_row(n)[lo:hi]
+    log += np.multiply(np.maximum(np.log1p(-xs), _LOG0)[:, None], n - m, out=out)
+    out.fill(0.0)
+    return np.exp(log, out=out, where=np.greater_equal(log, _EXP_FLOOR, out=mask))
 
 
 def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +139,9 @@ def _pmf_window(n: int, x: float) -> tuple[int, np.ndarray]:
     lo, hi = 0, n + 1
     if n >= _TILE:
         (lo,), (hi,) = _windows(n, xs)
-    return lo, _pmf_block(n, xs, lo, hi)[0]
+    shape = (1, hi - lo)
+    entries = _pmf_block(n, xs, lo, hi, np.empty(shape), np.empty(shape), np.empty(shape, bool))
+    return lo, entries[0]
 
 
 def pmf_row(n: int, x: float) -> np.ndarray:
@@ -163,7 +178,10 @@ def mix(gains, n: int, xs) -> np.ndarray:
     module docstring) of each block's points, rounded out to aligned tiles
     of counts. Each tile is summed on its own, row by row, and the tiles
     are added in count order; a tile outside a point's window adds 0.0, so
-    a point's value does not depend on the other points in xs.
+    a point's value does not depend on the other points in xs. A block's
+    products with all sequences are formed and its tiles summed in one
+    pass each, in a workspace allocated once per call (see the module
+    docstring).
 
     The kernel's log 0, its m * log 0 overflowing to -inf and the
     underflow of exp and of products with tiny entries are by design: mix
@@ -178,13 +196,16 @@ def mix(gains, n: int, xs) -> np.ndarray:
     if n < _TILE:  # below one tile of counts every block covers the whole row
         m = np.arange(n + 1)
         spans = [(0, n + 1, 0)] * len(starts)
+        width = n + 1
     else:
         firsts, ends = _windows(n, flat)
         firsts = np.minimum.reduceat(firsts, starts) // _TILE * _TILE
         ends = np.minimum(-(-np.maximum.reduceat(ends, starts) // _TILE) * _TILE, n + 1)
         # the counts in the union of the blocks' spans, then n for g[n]
         runs = []
+        width = 0  # the widest span, up to one pmf block
         for first, end in sorted(zip(firsts.tolist(), ends.tolist())):
+            width = max(width, min(end - first, _BLOCK_ENTRIES))
             if runs and first <= runs[-1][1]:
                 runs[-1][1] = max(runs[-1][1], end)
             else:
@@ -193,18 +214,27 @@ def mix(gains, n: int, xs) -> np.ndarray:
         spans = zip(firsts.tolist(), ends.tolist(), np.searchsorted(m, firsts).tolist())
     g = gains(m)
     offsets = g - g[:, -1:]
-    out = np.zeros((len(g), flat.size))
+    seqs = len(g)
+    out = np.zeros((seqs, flat.size))
+    # the workspace, sized for the largest block: the log pmf and then the
+    # products of every sequence, the pmf, and the mask of the logs exp sees
+    shape = (min(step, flat.size), width)
+    work, pmf, mask = np.empty((seqs,) + shape), np.empty(shape), np.empty(shape, bool)
     for i, (first, end, col) in zip(starts, spans):
-        pts = slice(i, i + step)
-        rows = out[:, pts]
+        pts = flat[i : i + step]
+        rows = out[:, i : i + step]
         for lo in range(first, end, _BLOCK_ENTRIES):
             hi = min(lo + _BLOCK_ENTRIES, end)
-            block = _pmf_block(n, flat[pts], lo, hi)
-            gks = offsets[:, col + lo - first : col + hi - first]
-            for t in range(0, hi - lo, _TILE):
-                tile = slice(t, t + _TILE)
-                part = block[:, tile]
-                for gk, sums in zip(gks[:, tile], rows):
-                    sums += np.add.reduce(part * gk, 1)
+            npts, w = pts.size, hi - lo
+            block = _pmf_block(n, pts, lo, hi, pmf[:npts, :w], work[0, :npts, :w], mask[:npts, :w])
+            gks = offsets[:, None, col + lo - first : col + hi - first]
+            prods = np.multiply(block, gks, out=work[:, :npts, :w])
+            full = w // _TILE * _TILE
+            if full:
+                tiles = np.add.reduce(prods[:, :, :full].reshape(seqs, npts, -1, _TILE), 3)
+                for sums in tiles.transpose(2, 0, 1):
+                    rows += sums
+            if full < w:
+                rows += np.add.reduce(prods[:, :, full:], 2)
     out += g[:, -1:]
-    return out.reshape((len(g),) + xs.shape)
+    return out.reshape((seqs,) + xs.shape)

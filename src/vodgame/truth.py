@@ -94,18 +94,9 @@ def individual_payoff_regular(
     return 1.0 if success else 1.0 - p.cost_failure
 
 
-def payoff_pair_regular(x, params: TruthGameParams) -> PayoffPair:
-    """Average volunteer and defector payoffs when each of the other
-    n_regular-1 agents volunteers independently with probability x
-    (a float, or an array of them for a PayoffPair of arrays).
-
-    Both are binomial mixtures over the co-volunteer count m. A
-    volunteer completes the quorum iff m >= threshold - 1, and then
-    also nets the reward share minus the funding fee,
-    shared_reward/(m+1) - shared_reward/n_regular. A defector needs
-    m >= threshold and pays the fee shared_reward/n_regular only on
-    that success event.
-    """
+def _gains(params: TruthGameParams):
+    # mix's gains callable for the volunteer and defector over the focal
+    # agent's 0..n_regular-1 co-volunteers
     p = params
     n, k, s = p.n_regular, p.threshold, p.shared_reward
 
@@ -119,7 +110,28 @@ def payoff_pair_regular(x, params: TruthGameParams) -> PayoffPair:
         g[1, :below_d] = 1.0 - p.cost_failure
         return g
 
-    v, d = mix(gains, n - 1, x)
+    return gains
+
+
+def _net_gains(params: TruthGameParams):
+    # mix's gains callable for the net alone: volunteer minus defector gains
+    gains = _gains(params)
+    return lambda m: np.subtract(*gains(m))[None]
+
+
+def payoff_pair_regular(x, params: TruthGameParams) -> PayoffPair:
+    """Average volunteer and defector payoffs when each of the other
+    n_regular-1 agents volunteers independently with probability x
+    (a float, or an array of them for a PayoffPair of arrays).
+
+    Both are binomial mixtures over the co-volunteer count m. A
+    volunteer completes the quorum iff m >= threshold - 1, and then
+    also nets the reward share minus the funding fee,
+    shared_reward/(m+1) - shared_reward/n_regular. A defector needs
+    m >= threshold and pays the fee shared_reward/n_regular only on
+    that success event.
+    """
+    v, d = mix(_gains(params), params.n_regular - 1, x)
     return PayoffPair(v, d, v - d)
 
 
@@ -134,5 +146,10 @@ def avg_payoff_defector(x, params: TruthGameParams) -> float:
 
 
 def net_payoff_regular(x, params: TruthGameParams) -> float:
-    """avg_payoff_volunteer(x) - avg_payoff_defector(x); zero at mixed equilibria."""
-    return payoff_pair_regular(x, params).net
+    """avg_payoff_volunteer(x) - avg_payoff_defector(x); zero at mixed equilibria.
+
+    It mixes the net's own gain sequence, the volunteer's gains minus the
+    defector's, so it agrees with payoff_pair_regular(x, params).net to
+    rounding, not bit for bit.
+    """
+    return mix(_net_gains(params), params.n_regular - 1, x)[0]

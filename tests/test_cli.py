@@ -288,6 +288,62 @@ def test_simulate_names_the_settings_it_ignores(tmp_path, capsys, model, name, v
         assert captured.err == f"{warning}; ignoring {named}\n"
 
 
+_SEARCH_IGNORED = [
+    (command, name, value)
+    for command in ("curve", "equilibria", "sweep")
+    for name, value in (("x", 0.3), ("xf", 0.2), ("trials", 5), ("seed", 3))
+] + [("sweep", "sigma", 9.0)]
+
+
+@pytest.mark.parametrize("command,name,value", _SEARCH_IGNORED)
+def test_search_commands_name_the_settings_they_ignore(tmp_path, capsys, command, name, value):
+    """curve, equilibria and sweep run no simulation, and sweep takes its
+    swept field from --values. A setting they never read is named on one
+    stderr line, as a flag and as a config key; stdout, the files written
+    and the exit code stay those of a plain run."""
+    out = tmp_path / "sweep.csv"
+    files = (out, tmp_path / "sweep_summary.csv")
+    base = (command,)
+    warning = f"warning: {command} runs no simulation"
+    if command == "sweep":
+        base += ("--param", "sigma", "--values", "5,6", "--out", str(out))
+        warning += " and takes sigma from --values"
+    assert run_cli(*base) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    written = [path.read_bytes() for path in files if path.exists()]
+    assert len(written) == (2 if command == "sweep" else 0)
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({name: value}), encoding="utf-8")
+    for extra, named in (
+        (("--" + name, str(value)), "--" + name),
+        (("--config", str(cfgfile)), "config keys " + name),
+    ):
+        assert run_cli(*base, *extra) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain.out
+        assert captured.err == f"{warning}; ignoring {named}\n"
+        assert [path.read_bytes() for path in files if path.exists()] == written
+
+
+def test_fake_sweep_derives_pstar_once_per_value(tmp_path, monkeypatch):
+    """Without --pstar each swept value runs the validation game's search
+    once, for its curve and its equilibria together."""
+    import vodgame.cli
+
+    calls = []
+
+    def counted(*args, real=vodgame.cli.stable_equilibrium):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(vodgame.cli, "stable_equilibrium", counted)
+    out = tmp_path / "sweep.csv"
+    argv = ("sweep", "--model", "fake", "--param", "cf", "--values", "0.05,0.1,0.2")
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert len(calls) == 3
+
+
 def test_simulate_fake_needs_pstar_when_no_equilibrium(capsys):
     code = run_cli("simulate", "--model", "fake", "--sigma", "3",
                    "--trials", "1000")
@@ -462,8 +518,9 @@ def test_config_file_validation(tmp_path, capsys, payload, error):
     cfgfile.write_text(payload, encoding="utf-8")
     code = run_cli("equilibria", "--config", str(cfgfile))
     err = capsys.readouterr().err
-    if error is None:
-        assert code == 0 and err == ""
+    if error is None:  # equilibria runs no simulation and names the key it ignores
+        assert code == 0
+        assert err == "warning: equilibria runs no simulation; ignoring config keys trials\n"
         (value,) = _load_config_file(str(cfgfile)).values()
         assert value == 5 and type(value) is int
     else:

@@ -220,3 +220,35 @@ def test_fake_curve_has_positive_region_at_low_turnout():
     ys = [net(xf) for xf in np.linspace(0.0, 1.0, 101)]
     assert max(ys) > 0.0
     assert ys[0] < 0.0
+
+
+# ---------------------------------------------------------------- net sequences
+
+
+def test_searches_mix_one_sequence(monkeypatch, capsys):
+    """Every search mixes the net's own gain sequence, one per kernel
+    call: the library searches of both games, stable_equilibrium and the
+    CLI's equilibria. A curve still mixes the volunteer and the defector."""
+    import vodgame.fake
+    import vodgame.truth
+    from vodgame.cli import main
+
+    sequences = []
+    for module in (vodgame.truth, vodgame.fake):
+        def spy(gains, n, xs, real=module.mix):
+            out = real(gains, n, xs)
+            sequences.append(len(out))
+            return out
+
+        monkeypatch.setattr(module, "mix", spy)
+    find_equilibria(truth_net(BASELINE))
+    for tail in TailMode:
+        find_equilibria(lambda x: expected_net_payoff_fake(x, 0.06, 100, FakeGameParams(), tail))
+    stable_equilibrium(BASELINE)
+    assert main(["equilibria"]) == 0
+    assert main(["equilibria", "--model", "fake"]) == 0
+    capsys.readouterr()
+    assert sequences and set(sequences) == {1}
+    sequences.clear()
+    sample_curve(lambda x: payoff_pair_regular(x, BASELINE))
+    assert sequences == [2]

@@ -188,6 +188,44 @@ def test_mix_matches_sums_over_whole_pmf_rows(n, points):
             assert abs(got[k, j] - (g[-1] + math.fsum(row[nz] * (g[nz] - g[-1])))) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [99, 1023, 10**4, 2 * 10**5 + 3, 10**6])
+def test_mix_adds_tile_sums_in_count_order(n):
+    """mix sums every aligned tile of 1024 counts on its own and adds the
+    tile sums in count order, for every sequence alike: exactly the loop
+    below over whole pmf rows, also for windows of more than 8 tiles."""
+    gains = np.random.default_rng(n).normal(size=(2, n + 1))
+    xs = np.array([0.0, 3e-5, 0.31, 0.5, 0.97, 1.0])
+    got = mix(lambda m: gains[:, m], n, xs)
+    offsets = gains - gains[:, -1:]
+    tiles = [slice(t, t + numerics._TILE) for t in range(0, n + 1, numerics._TILE)]
+    for j, x in enumerate(xs):
+        row = pmf_row(n, float(x))
+        for k, g in enumerate(gains):
+            total = 0.0
+            for tile in tiles:
+                total += np.add.reduce(row[tile] * offsets[k, tile])
+            assert total + g[-1] == got[k, j], (x, k)
+
+
+def test_workspace_fits_the_blocks_a_call_builds():
+    """mix sizes its workspace from the largest block the call builds: a
+    1-point call at n = 10^6 builds about a thousand counts, so it never
+    holds a buffer of the 2^16 entries a block may have."""
+    import tracemalloc
+
+    from vodgame.truth import TruthGameParams, net_payoff_regular
+
+    params = TruthGameParams(n_regular=10**6, threshold=60, shared_reward=500.0)
+    net_payoff_regular(6e-5, params)  # caches the row of log C(n, m)
+    tracemalloc.start()
+    try:
+        net_payoff_regular(6e-5, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < numerics._BLOCK_ENTRIES * 8
+
+
 def test_mix_reads_gains_once_inside_its_windows():
     """mix asks its gains callable once per call: at large n only for the
     tile-rounded windows of its points followed by n, below one tile for
@@ -292,6 +330,54 @@ def test_fake_gains_underflow_inside_the_kernel():
     with np.errstate(all="raise"):
         raising = expected_fake_payoffs(xs, 0.5, 1030, FakeGameParams())
     assert np.array_equal(_bits(raising.net), _bits(plain.net))
+
+
+_NET_XS = np.array([0.0, 5e-324, 1e-9, 3e-5, 0.06, 0.5, 1 - 1e-7, 1.0])
+
+
+@pytest.mark.parametrize("n", [2, 7, 100, 10**4, 10**6])
+def test_net_functions_agree_with_pair_net(n):
+    """Both nets mix their own gain sequence, volunteer minus defector
+    gains, so they match the pair's net to rounding, not bit for bit:
+    within 1e-15 for ties and strict dominance, both tails and p* from 0
+    to 1. The regular net at x = 0 stays exactly -cost_volunteer, and
+    neither net trips numpy set to raise."""
+    from vodgame.fake import (
+        FakeGameParams,
+        TailMode,
+        expected_fake_payoffs,
+        expected_net_payoff_fake,
+    )
+    from vodgame.truth import TruthGameParams, net_payoff_regular, payoff_pair_regular
+
+    xs = _NET_XS if n == 10**6 else np.concatenate((_NET_XS, np.linspace(0.0, 1.0, 513)))
+    truth = TruthGameParams(n_regular=n, threshold=min(6, n))
+    with np.errstate(all="raise"):
+        gap = net_payoff_regular(xs, truth) - payoff_pair_regular(xs, truth).net
+        assert np.abs(gap).max() <= 1e-15
+        assert net_payoff_regular(0.0, truth) == -truth.cost_volunteer
+        for p_star in (0.0, 5e-6, 0.06, 1.0):
+            for params in (FakeGameParams(), FakeGameParams(strict_dominance=True)):
+                for tail in TailMode:
+                    net = expected_net_payoff_fake(xs, p_star, n, params, tail)
+                    pair = expected_fake_payoffs(xs, p_star, n, params, tail)
+                    assert np.abs(net - pair.net).max() <= 1e-15, (p_star, params, tail)
+
+
+@pytest.mark.parametrize("n", [7, 10**4])
+def test_results_share_no_memory(n):
+    """mix reuses one workspace per call; nothing it or pmf_row returns
+    lives in it, so two results taken in a row are separate arrays."""
+    first, second = pmf_row(n, 0.3), pmf_row(n, 0.6)
+    assert not np.shares_memory(first, second)
+
+    def gains(m):
+        return np.vstack((np.ones(m.size), m))
+
+    xs = np.linspace(0.0, 1.0, 9)
+    first, second = mix(gains, n, xs), mix(gains, n, xs[::-1])
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first[:, ::-1], second)
 
 
 # ---------------------------------------------------------------- validation
