@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import _pmf_window, mix, require_probability
-from .truth import PayoffPair
+from .truth import PayoffPair, _require_count, _role
 
 __all__ = [
     "FakeGameParams",
@@ -50,6 +50,7 @@ class FakeGameParams:
     strict_dominance: bool = False
 
     def __post_init__(self) -> None:
+        _require_count(self.n_fake, "n_fake")
         for name in ("cost_volunteer_fake", "cost_failure"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -138,7 +139,7 @@ def avg_payoff_fake_volunteer(
     """Expected payoff of a fake volunteer against a known regular
     turnout, its n_fake-1 peers volunteering independently with
     probability x_f (a float or an array of them)."""
-    return mix(_gains_against(regular_volunteers, params), params.n_fake - 1, x_f)[0]
+    return mix(_role(_gains_against(regular_volunteers, params), 0), params.n_fake - 1, x_f)[0]
 
 
 def avg_payoff_fake_defector(
@@ -146,7 +147,7 @@ def avg_payoff_fake_defector(
 ) -> float:
     """Expected payoff of a fake-side defector against a known regular
     turnout."""
-    return mix(_gains_against(regular_volunteers, params), params.n_fake - 1, x_f)[1]
+    return mix(_role(_gains_against(regular_volunteers, params), 1), params.n_fake - 1, x_f)[0]
 
 
 def _turnout(p_star: float, n_regular: int, params: FakeGameParams, tail: TailMode) -> np.ndarray:
@@ -155,6 +156,7 @@ def _turnout(p_star: float, n_regular: int, params: FakeGameParams, tail: TailMo
     # The mass is summed rather than taken as 1 - kept: a pmf row's mass
     # misses 1 by ~3e-10 at n_regular = 10^6
     p_star = require_probability(p_star, "p_star")
+    _require_count(n_regular, "n_regular")
     if n_regular < 1:
         raise ValueError("n_regular must be at least 1")
     f = params.n_fake

@@ -14,11 +14,18 @@ arithmetic costs more than the entries it skips.
 
 Inside a window, tile rounding and the bound's slack still leave entries
 whose log pmf is below -746 (31% of those built for a 2048-point grid at
-n = 10^4). exp is evaluated only where the log is at least -746, which
-covers every entry it can make non-zero, and 0.0 is written elsewhere:
-there exp returns exactly 0.0, at over ten times the cost of an ordinary
-entry. Subnormal entries, logs in [-745.13, -708.4], still go through
-exp, so every entry is bitwise what exp gives when it runs on all.
+n = 10^4). exp is evaluated only where the log reaches a floor, and 0.0
+is written elsewhere. pmf_row and the fake side's turnout weights take
+the floor -746, which covers every entry exp can make non-zero: below it
+exp returns exactly 0.0, at over ten times the cost of an ordinary entry,
+so they keep subnormal entries, logs in [-745.13, -708.4], and every
+entry is bitwise what exp gives when it runs on all. mix takes the floor
+log(2^-1022) = -708.396..., below which exp's result is subnormal and
+costs over 100 times an ordinary entry (1.7% of the entries of that
+grid), and adds 0.0 for those entries instead. Such an entry times a
+gain g is below 2^-1022 |g|, and a term that small changes a float sum
+only where the sum is below 2^-968 |g| ~ 4e-292 |g| in magnitude, so a
+payoff could move only that close to 0: sums of O(1) gains cannot see it.
 
 mix works through its points in blocks of at most 2^16 pmf entries, in
 a workspace it allocates once per call, sized for the largest block the
@@ -48,6 +55,8 @@ _BLOCK_ENTRIES = 1 << 16
 _TILE = 1 << 10  # aligned counts that mix sums as one piece; see mix
 _TAIL = 746.0  # -log of the pmf mass left out past each end of a window
 _EXP_FLOOR = -_TAIL  # pmf entries with a log below it are 0.0, exp's value there
+# mix's floor: below it exp is subnormal, which no sum of mix's can see
+_NORMAL_FLOOR = math.log(sys.float_info.min)
 _LOG0 = -sys.float_info.max  # log 0 in _pmf_block: finite, so 0 * log 0 is 0
 # the floating-point events the kernel raises by design: log 0, m * log 0
 # overflowing to -inf, and exp and the products of tiny entries underflowing
@@ -108,17 +117,18 @@ def _log_choose_row(n: int) -> np.ndarray:
     return row
 
 
-def _pmf_block(n: int, xs: np.ndarray, lo: int, hi: int, out, log, mask) -> np.ndarray:
+def _pmf_block(n: int, xs: np.ndarray, lo: int, hi: int, out, log, mask, floor) -> np.ndarray:
     # Binomial(n, x) pmf at m = lo..hi-1 for each x of a checked 1-d array,
     # written to out and returned, under its caller's np.errstate(**_BY_DESIGN);
     # log and mask are work arrays of out's shape. exp runs only on the
-    # entries whose log reaches _EXP_FLOOR, as below it exp returns 0.0
+    # entries whose log reaches floor, the others are 0.0: at _EXP_FLOOR
+    # that is exp's value, at _NORMAL_FLOOR it drops exp's subnormal results
     m = np.arange(lo, hi, dtype=np.float64)
     np.multiply(np.maximum(np.log(xs), _LOG0)[:, None], m, out=log)
     log += _log_choose_row(n)[lo:hi]
     log += np.multiply(np.maximum(np.log1p(-xs), _LOG0)[:, None], n - m, out=out)
     out.fill(0.0)
-    return np.exp(log, out=out, where=np.greater_equal(log, _EXP_FLOOR, out=mask))
+    return np.exp(log, out=out, where=np.greater_equal(log, floor, out=mask))
 
 
 def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +150,8 @@ def _pmf_window(n: int, x: float) -> tuple[int, np.ndarray]:
     if n >= _TILE:
         (lo,), (hi,) = _windows(n, xs)
     shape = (1, hi - lo)
-    entries = _pmf_block(n, xs, lo, hi, np.empty(shape), np.empty(shape), np.empty(shape, bool))
+    bufs = np.empty(shape), np.empty(shape), np.empty(shape, bool)
+    entries = _pmf_block(n, xs, lo, hi, *bufs, _EXP_FLOOR)
     return lo, entries[0]
 
 
@@ -178,7 +189,9 @@ def mix(gains, n: int, xs) -> np.ndarray:
     module docstring) of each block's points, rounded out to aligned tiles
     of counts. Each tile is summed on its own, row by row, and the tiles
     are added in count order; a tile outside a point's window adds 0.0, so
-    a point's value does not depend on the other points in xs. A block's
+    a point's value does not depend on the other points in xs. Entries
+    below 2^-1022, which pmf_row keeps as exp gives them, add 0.0 too
+    (see the module docstring for why no sum can see them). A block's
     products with all sequences are formed and its tiles summed in one
     pass each, in a workspace allocated once per call (see the module
     docstring).
@@ -226,7 +239,9 @@ def mix(gains, n: int, xs) -> np.ndarray:
         for lo in range(first, end, _BLOCK_ENTRIES):
             hi = min(lo + _BLOCK_ENTRIES, end)
             npts, w = pts.size, hi - lo
-            block = _pmf_block(n, pts, lo, hi, pmf[:npts, :w], work[0, :npts, :w], mask[:npts, :w])
+            block = _pmf_block(
+                n, pts, lo, hi, pmf[:npts, :w], work[0, :npts, :w], mask[:npts, :w], _NORMAL_FLOOR
+            )
             gks = offsets[:, None, col + lo - first : col + hi - first]
             prods = np.multiply(block, gks, out=work[:, :npts, :w])
             full = w // _TILE * _TILE

@@ -28,6 +28,13 @@ __all__ = [
 ]
 
 
+def _require_count(value, name: str) -> None:
+    # a player count must be an int or a numpy integer; a bool or a float,
+    # even a whole one, is rejected where it enters
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PayoffPair:
     """Average volunteer and defector payoffs at one mixing point or at each of an array."""
@@ -54,6 +61,8 @@ class TruthGameParams:
     allow_nonstandard: bool = False
 
     def __post_init__(self) -> None:
+        _require_count(self.n_regular, "n_regular")
+        _require_count(self.threshold, "threshold")
         for name in ("cost_volunteer", "cost_failure", "shared_reward"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -119,6 +128,12 @@ def _net_gains(params: TruthGameParams):
     return lambda m: np.subtract(*gains(m))[None]
 
 
+def _role(gains, row: int):
+    # mix's gains callable for one sequence of gains alone: 0 the
+    # volunteer's, 1 the defector's
+    return lambda m: gains(m)[row : row + 1]
+
+
 def payoff_pair_regular(x, params: TruthGameParams) -> PayoffPair:
     """Average volunteer and defector payoffs when each of the other
     n_regular-1 agents volunteers independently with probability x
@@ -137,12 +152,12 @@ def payoff_pair_regular(x, params: TruthGameParams) -> PayoffPair:
 
 def avg_payoff_volunteer(x, params: TruthGameParams) -> float:
     """Expected payoff of a volunteer at mixing x; see payoff_pair_regular."""
-    return payoff_pair_regular(x, params).volunteer_avg
+    return mix(_role(_gains(params), 0), params.n_regular - 1, x)[0]
 
 
 def avg_payoff_defector(x, params: TruthGameParams) -> float:
     """Expected payoff of a defector at mixing x; see payoff_pair_regular."""
-    return payoff_pair_regular(x, params).defector_avg
+    return mix(_role(_gains(params), 1), params.n_regular - 1, x)[0]
 
 
 def net_payoff_regular(x, params: TruthGameParams) -> float:

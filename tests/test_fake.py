@@ -51,6 +51,25 @@ def test_rejects_invalid_parameters(kwargs):
         FakeGameParams(**kwargs)
 
 
+@pytest.mark.parametrize("value", [8.0, 8.5, True])
+def test_rejects_n_fake_that_is_not_an_integer(value):
+    with pytest.raises(ValueError, match="n_fake must be an integer"):
+        FakeGameParams(n_fake=value)
+
+
+@pytest.mark.parametrize("fn", [expected_fake_payoffs, expected_net_payoff_fake])
+@pytest.mark.parametrize("value", [100.0, 100.5, True])
+def test_rejects_n_regular_that_is_not_an_integer(fn, value):
+    with pytest.raises(ValueError, match="n_regular must be an integer"):
+        fn(0.5, 0.09, value, BASELINE)
+
+
+def test_accepts_numpy_integer_counts():
+    p = FakeGameParams(n_fake=np.int64(8))
+    want = expected_net_payoff_fake(0.3, 0.09, 100, BASELINE)
+    assert expected_net_payoff_fake(0.3, 0.09, np.int64(100), p) == want
+
+
 # ---------------------------------------------------------------- individual
 
 
@@ -115,6 +134,44 @@ def test_strict_mode_shifts_the_needed_count():
     got = avg_payoff_fake_defector(0.5, 4, STRICT)
     want = 0.1 + 0.9 * (29.0 / 128.0)  # P[Bin(7,.5) >= 5] = 29/128
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_per_role_payoffs_mix_one_sequence(monkeypatch):
+    """Each per-role average of both games mixes only its own gain
+    sequence, one per kernel call, and keeps the bits it had as one row
+    of a two-sequence mix of both roles."""
+    import vodgame.fake
+    import vodgame.truth
+    from vodgame.fake import _gains_against
+    from vodgame.numerics import mix
+    from vodgame.truth import (
+        TruthGameParams,
+        avg_payoff_defector,
+        avg_payoff_volunteer,
+        payoff_pair_regular,
+    )
+
+    xs = np.array([0.0, 5e-324, 1e-9, 0.2, 0.5, 1 - 1e-7, 1.0])
+    truth = TruthGameParams()
+    cases = [(r, params) for r in (0, 3, 9) for params in (BASELINE, FakeGameParams(n_fake=101))]
+    pair = payoff_pair_regular(xs, truth)
+    want = [pair.volunteer_avg, pair.defector_avg]
+    for r, params in cases:
+        want += list(mix(_gains_against(r, params), params.n_fake - 1, xs))
+    sequences = []
+    for module in (vodgame.truth, vodgame.fake):
+        def spy(gains, n, x, real=module.mix):
+            out = real(gains, n, x)
+            sequences.append(len(out))
+            return out
+
+        monkeypatch.setattr(module, "mix", spy)
+    got = [avg_payoff_volunteer(xs, truth), avg_payoff_defector(xs, truth)]
+    for r, params in cases:
+        got += [avg_payoff_fake_volunteer(xs, r, params), avg_payoff_fake_defector(xs, r, params)]
+    assert sequences == [1] * len(got)
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
 # ---------------------------------------------------------------- expectation

@@ -264,13 +264,15 @@ def _bits(values):
     return np.ascontiguousarray(values).view(np.int64)
 
 
-@pytest.mark.parametrize("n", [7, 99, 1023, 10**4, 2 * 10**5 + 3])
+@pytest.mark.parametrize("n", [7, 99, 1023, 10**4, 2 * 10**5 + 3, 10**6])
 def test_skipping_exp_below_the_floor_changes_no_bit(n, monkeypatch):
-    """exp runs only on pmf entries whose log reaches _EXP_FLOOR. With the
-    floor at -inf every entry goes through exp, and pmf_row and both
-    games' payoffs keep every bit, on arrays shuffled across pmf blocks."""
-    from vodgame.fake import FakeGameParams, expected_fake_payoffs
-    from vodgame.truth import TruthGameParams, payoff_pair_regular
+    """exp runs only on pmf entries whose log reaches a floor: _EXP_FLOOR
+    for pmf_row and the turnout weights, _NORMAL_FLOOR for mix. With both
+    floors at -inf every entry goes through exp, and pmf_row and both
+    games' pairs and nets keep every bit, on arrays shuffled across pmf
+    blocks."""
+    from vodgame.fake import FakeGameParams, expected_fake_payoffs, expected_net_payoff_fake
+    from vodgame.truth import TruthGameParams, net_payoff_regular, payoff_pair_regular
 
     values = [0.0, 5e-324, 1e-9, 3e-4, 0.5, 1 - 1e-7, 1.0]
     size = 2 * numerics._BLOCK_ENTRIES // (n + 1) + len(values)
@@ -282,12 +284,41 @@ def test_skipping_exp_below_the_floor_changes_no_bit(n, monkeypatch):
         pairs = [payoff_pair_regular(xs, truth)]
         pairs += [expected_fake_payoffs(xs, p, n, fake) for p in values]
         payoffs = [v for p in pairs for v in (p.volunteer_avg, p.defector_avg, p.net)]
+        payoffs += [net_payoff_regular(xs, truth)]
+        payoffs += [expected_net_payoff_fake(xs, p, n, fake) for p in values]
         return [pmf_row(n, x) for x in values] + payoffs
 
     skipped = evaluate()
     monkeypatch.setattr(numerics, "_EXP_FLOOR", -np.inf)
+    monkeypatch.setattr(numerics, "_NORMAL_FLOOR", -np.inf)
     for got, want in zip(evaluate(), skipped, strict=True):
         assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_mix_drops_only_subnormal_pmf_entries(monkeypatch):
+    """mix runs exp only where its result is a normal float: on the
+    2048-point grid at n = 10^4 every pmf block it builds holds exp's bits
+    wherever exp gives at least 2^-1022, and exactly 0.0 elsewhere."""
+    from vodgame.truth import TruthGameParams, net_payoff_regular
+
+    real = numerics._pmf_block
+    dropped = []
+
+    def spy(n, xs, lo, hi, out, log, mask, floor):
+        block = real(n, xs, lo, hi, out, log, mask, floor)
+        shape = block.shape
+        bufs = np.empty(shape), np.empty(shape), np.empty(shape, bool)
+        every = real(n, xs, lo, hi, *bufs, -np.inf)
+        normal = every >= np.finfo(float).tiny
+        assert np.array_equal(_bits(block[normal]), _bits(every[normal]))
+        assert not _bits(block[~normal]).any()  # +0.0, not -0.0
+        dropped.append(np.count_nonzero(every[~normal]))
+        return block
+
+    monkeypatch.setattr(numerics, "_pmf_block", spy)
+    params = TruthGameParams(n_regular=10**4 + 1, threshold=60, shared_reward=500.0)
+    net_payoff_regular(np.linspace(0.0, 1.0, 2048), params)
+    assert sum(dropped) > 0  # some entries were subnormal, so the check bit
 
 
 @pytest.mark.parametrize("n", [7, 99, 10**4, 10**6])

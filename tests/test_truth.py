@@ -51,6 +51,20 @@ def test_rejects_invalid_parameters(kwargs):
         TruthGameParams(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("n_regular", 100.0), ("n_regular", True), ("threshold", 6.5), ("threshold", 6.0)],
+)
+def test_rejects_counts_that_are_not_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        TruthGameParams(**{field: value})
+
+
+def test_accepts_numpy_integer_counts():
+    p = TruthGameParams(n_regular=np.int64(100), threshold=np.int32(6))
+    assert net_payoff_regular(0.3, p) == net_payoff_regular(0.3, BASELINE)
+
+
 def test_nonstandard_cost_ordering_needs_opt_in():
     p = TruthGameParams(cost_volunteer=0.9, cost_failure=0.5, allow_nonstandard=True)
     assert p.cost_volunteer == 0.9
