@@ -22,7 +22,6 @@ from .fake import (
     avg_payoff_fake_volunteer,
     expected_fake_payoffs,
     expected_net_payoff_fake,
-    individual_payoff_fake,
 )
 from .numerics import require_probability
 from .oracle import (
@@ -37,7 +36,6 @@ from .truth import (
     TruthGameParams,
     avg_payoff_defector,
     avg_payoff_volunteer,
-    individual_payoff_regular,
     net_payoff_regular,
     payoff_pair_regular,
 )
@@ -65,8 +63,6 @@ __all__ = [
     "expected_fake_payoffs",
     "expected_net_payoff_fake",
     "find_equilibria",
-    "individual_payoff_fake",
-    "individual_payoff_regular",
     "net_payoff_regular",
     "payoff_pair_regular",
     "require_probability",

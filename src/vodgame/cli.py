@@ -36,9 +36,6 @@ CURVE_HEADER = "x,volunteer_avg,defector_avg,net"
 SWEEP_HEADER = "swept_name,swept_value,x,net"
 SUMMARY_HEADER = "swept_value,regime,unstable_x,stable_x"
 
-TRUTH_SWEEPABLE = ("n", "k", "c", "alpha", "sigma")
-FAKE_SWEEPABLE = ("f", "cf", "alpha", "pstar")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -112,6 +109,35 @@ _CONFIG_VALUE = {
 }
 
 
+# the RunConfig fields each game reads
+_GAME_READS = {
+    "truth": {"n", "k", "c", "alpha", "sigma", "allow_nonstandard"},
+    "fake": {"n", "f", "cf", "alpha", "pstar", "tail", "strict_dominance"},
+}
+# what each command reads beside its model's game; "out" is the --out flag
+_COMMAND_READS = {
+    "curve": {"model", "xmin", "xmax", "points", "out"},
+    "equilibria": {"model", "grid", "tol"},
+    "sweep": {"model", "xmin", "xmax", "points", "grid", "tol", "out"},
+    "simulate": {"model", "trials", "seed"},
+}
+
+
+def reads(command: str, cfg: RunConfig) -> set:
+    """The settings a run of command on cfg reads: RunConfig fields and
+    "out". A sweep's cfg already holds its swept field."""
+    if command == "reproduce":
+        return {"grid", "tol", "out"}  # each figure fixes its model settings
+    used = _GAME_READS[cfg.model] | _COMMAND_READS[command]
+    if cfg.model == "fake" and cfg.pstar is None:
+        # p* is the validation game's stable equilibrium, found by a search
+        used |= _GAME_READS["truth"] | {"grid", "tol"}
+    if command == "simulate":
+        # the Monte Carlo run checks the full turnout average at x or xf
+        used = used - {"tail"} | {"x" if cfg.model == "truth" else "xf"}
+    return used
+
+
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
@@ -171,54 +197,49 @@ def _validate_config(cfg: RunConfig) -> None:
 
 
 def _truth_params(cfg: RunConfig) -> TruthGameParams:
-    return TruthGameParams(
-        n_regular=cfg.n,
-        threshold=cfg.k,
-        cost_volunteer=cfg.c,
-        cost_failure=cfg.alpha,
-        shared_reward=cfg.sigma,
-        allow_nonstandard=cfg.allow_nonstandard,
-    )
+    return TruthGameParams(n_regular=cfg.n, threshold=cfg.k, cost_volunteer=cfg.c,
+                           cost_failure=cfg.alpha, shared_reward=cfg.sigma,
+                           allow_nonstandard=cfg.allow_nonstandard)
 
 
-def _fake_params(cfg: RunConfig) -> FakeGameParams:
-    return FakeGameParams(
-        n_fake=cfg.f,
-        cost_volunteer_fake=cfg.cf,
-        cost_failure=cfg.alpha,
-        strict_dominance=cfg.strict_dominance,
-    )
+@dataclass(frozen=True)
+class _Model:
+    """A run's model: its PayoffPair and its net payoff at x, a float or
+    an array; the point simulate checks; and simulate(trials, seed), the
+    SimResult of the Monte Carlo run there."""
+
+    pair: object
+    net: object
+    point: float
+    simulate: object
 
 
-def _resolve_pstar(cfg: RunConfig) -> float:
-    """Explicit --pstar, else the validation game's stable equilibrium."""
-    if cfg.pstar is not None:
-        return require_probability(cfg.pstar, "pstar")
-    derived = stable_equilibrium(_truth_params(cfg), cfg.grid, cfg.tol)
-    if derived is None:
-        raise ValueError(
-            "the validation game has no stable equilibrium to derive pstar "
-            "from; pass --pstar explicitly"
-        )
-    return derived
-
-
-def _model_fns(cfg: RunConfig):
-    """cfg's model as (pair, net): its PayoffPair and its net payoff at x,
-    a float or an array. The fake model's p* is resolved once, here."""
+def _model_fns(cfg: RunConfig) -> _Model:
+    """cfg's model. The fake model's p* is --pstar, else the validation
+    game's stable equilibrium, derived once, here."""
     if cfg.model == "truth":
         params = _truth_params(cfg)
-        return (
+        return _Model(
             lambda x: payoff_pair_regular(x, params),
             lambda x: net_payoff_regular(x, params),
+            cfg.x,
+            lambda trials, seed: simulate_truth(params, cfg.x, trials, seed),
         )
-    params = _fake_params(cfg)
-    p_star = _resolve_pstar(cfg)
-    tail = TailMode(cfg.tail)
-    n = cfg.n
-    return (
+    params = FakeGameParams(n_fake=cfg.f, cost_volunteer_fake=cfg.cf, cost_failure=cfg.alpha,
+                            strict_dominance=cfg.strict_dominance)
+    if cfg.pstar is not None:
+        p_star = require_probability(cfg.pstar, "pstar")
+    else:
+        p_star = stable_equilibrium(_truth_params(cfg), cfg.grid, cfg.tol)
+        if p_star is None:
+            raise ValueError("the validation game has no stable equilibrium to derive "
+                             "pstar from; pass --pstar explicitly")
+    tail, n = TailMode(cfg.tail), cfg.n
+    return _Model(
         lambda x: expected_fake_payoffs(x, p_star, n, params, tail),
         lambda x: expected_net_payoff_fake(x, p_star, n, params, tail),
+        cfg.xf,
+        lambda trials, seed: simulate_fake(p_star, n, params, cfg.xf, trials, seed),
     )
 
 
@@ -240,8 +261,7 @@ def _csv(header: str, rows) -> str:
 
 
 def cmd_curve(cfg: RunConfig, out: str | None) -> int:
-    pair, _ = _model_fns(cfg)
-    sample = sample_curve(pair, (cfg.xmin, cfg.xmax), cfg.points)
+    sample = sample_curve(_model_fns(cfg).pair, (cfg.xmin, cfg.xmax), cfg.points)
     rows = [
         (_fmt(x), _fmt(v), _fmt(d), _fmt(nv))
         for x, v, d, nv in zip(sample.xs, sample.volunteer_avg, sample.defector_avg, sample.net)
@@ -251,16 +271,9 @@ def cmd_curve(cfg: RunConfig, out: str | None) -> int:
 
 
 def cmd_equilibria(cfg: RunConfig) -> int:
-    _, net = _model_fns(cfg)
-    report = find_equilibria(net, cfg.grid, cfg.tol)
-    payload = {
-        "regime": report.regime,
-        "equilibria": [
-            {"x": e.x, "slope": e.slope, "stability": e.stability}
-            for e in report.equilibria
-        ],
-    }
-    print(json.dumps(payload, indent=2))
+    report = find_equilibria(_model_fns(cfg).net, cfg.grid, cfg.tol)
+    roots = [{"x": e.x, "slope": e.slope, "stability": e.stability} for e in report.equilibria]
+    print(json.dumps({"regime": report.regime, "equilibria": roots}, indent=2))
     return 0
 
 
@@ -268,13 +281,6 @@ def _roots_summary(report: RegimeReport) -> tuple[float | None, float | None]:
     unstable = next((e.x for e in report.equilibria if e.stability == UNSTABLE), None)
     stable = max((e.x for e in report.equilibria if e.stability == STABLE), default=None)
     return unstable, stable
-
-
-def _parse_sweep_values(param: str, raw: str) -> tuple:
-    items = [piece.strip() for piece in raw.split(",") if piece.strip()]
-    if not items:
-        raise ValueError("--values must hold at least one number")
-    return tuple(_KIND[param](piece) for piece in items)
 
 
 def run_sweep(base: RunConfig, name: str, values: tuple):
@@ -287,9 +293,9 @@ def run_sweep(base: RunConfig, name: str, values: tuple):
     results = []
     for value in values:
         cfg = replace(base, **{name: value})
-        pair, net = _model_fns(cfg)
-        sample = sample_curve(pair, (cfg.xmin, cfg.xmax), cfg.points)
-        report = find_equilibria(net, cfg.grid, cfg.tol)
+        model = _model_fns(cfg)
+        sample = sample_curve(model.pair, (cfg.xmin, cfg.xmax), cfg.points)
+        report = find_equilibria(model.net, cfg.grid, cfg.tol)
         results.append((value, sample, report))
     return results
 
@@ -302,15 +308,8 @@ def _sweep_csvs(swept_name: str, results) -> tuple[str, str]:
         value_str = _fmt(float(value))
         for x, nv in zip(sample.xs, sample.net):
             long_rows.append((swept_name, value_str, _fmt(x), _fmt(nv)))
-        unstable, stable = _roots_summary(report)
-        summary_rows.append(
-            (
-                value_str,
-                report.regime,
-                "" if unstable is None else _fmt(unstable),
-                "" if stable is None else _fmt(stable),
-            )
-        )
+        roots = ("" if x is None else _fmt(x) for x in _roots_summary(report))
+        summary_rows.append((value_str, report.regime, *roots))
     return _csv(SWEEP_HEADER, long_rows), _csv(SUMMARY_HEADER, summary_rows)
 
 
@@ -319,17 +318,26 @@ def _summary_path(path: str) -> str:
     return root + "_summary" + (ext if ext else ".csv")
 
 
-def cmd_sweep(cfg: RunConfig, param: str, raw_values: str, out: str | None) -> int:
+def _sweep_values(cfg: RunConfig, param: str, raw_values: str, out: str | None) -> tuple:
+    """The values --values gives param, each of param's type. param must
+    be an int or float model field that the sweep reads with param set;
+    any value will do, as a set pstar is all that changes what it reads."""
     if not out or out == "-":
         raise ValueError("sweep writes two files; pass --out PATH for the long CSV")
-    allowed = TRUTH_SWEEPABLE if cfg.model == "truth" else FAKE_SWEEPABLE
+    allowed = [name for name, kind in _KIND.items()
+               if kind in (int, float) and name not in _COMMAND_READS["sweep"]
+               and name in reads("sweep", replace(cfg, **{name: kind(0)}))]
     if param not in allowed:
-        raise ValueError(
-            f"cannot sweep {param!r} in the {cfg.model} model; "
-            f"choose one of {', '.join(allowed)}"
-        )
-    results = run_sweep(cfg, param, _parse_sweep_values(param, raw_values))
-    long_csv, summary_csv = _sweep_csvs(param, results)
+        raise ValueError(f"cannot sweep {param!r} in the {cfg.model} model; "
+                         f"choose one of {', '.join(allowed)}")
+    items = [piece.strip() for piece in raw_values.split(",") if piece.strip()]
+    if not items:
+        raise ValueError("--values must hold at least one number")
+    return tuple(_KIND[param](piece) for piece in items)
+
+
+def cmd_sweep(cfg: RunConfig, param: str, values: tuple, out: str) -> int:
+    long_csv, summary_csv = _sweep_csvs(param, run_sweep(cfg, param, values))
     _write_text(out, long_csv)
     _write_text(_summary_path(out), summary_csv)
     return 0
@@ -343,23 +351,16 @@ def _z_score(hat: float, reference: float, se: float) -> float:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    if cfg.model == "truth":
-        params = _truth_params(cfg)
-        point = cfg.x
-        pair = payoff_pair_regular(point, params)
-        sim = simulate_truth(params, point, cfg.trials, cfg.seed)
-    else:
-        params = _fake_params(cfg)
-        p_star = _resolve_pstar(cfg)
-        point = cfg.xf
-        pair = expected_fake_payoffs(point, p_star, cfg.n, params, TailMode.FULL)
-        sim = simulate_fake(p_star, cfg.n, params, point, cfg.trials, cfg.seed)
+    # the Monte Carlo run draws every turnout, so it checks the full average
+    model = _model_fns(replace(cfg, tail="full"))
+    pair = model.pair(model.point)
+    sim = model.simulate(cfg.trials, cfg.seed)
     analytic_v, analytic_d = pair.volunteer_avg, pair.defector_avg
     z_v = _z_score(sim.volunteer_avg_hat, analytic_v, sim.volunteer_se)
     z_d = _z_score(sim.defector_avg_hat, analytic_d, sim.defector_se)
     payload = {
         "model": cfg.model,
-        "point": point,
+        "point": model.point,
         "trials": sim.trials,
         "seed": sim.seed,
         "volunteer_avg": sim.volunteer_avg_hat,
@@ -458,12 +459,11 @@ def _fig2_lines(cfg: RunConfig, results) -> list[str]:
 
 def _fig3_lines(cfg: RunConfig, results) -> list[str]:
     xs = np.linspace(0.0, 1.0, 4097)  # where the max net is looked up
-    params = _fake_params(cfg)
     lines = [f"[{cfg.tail}]"]
     maxima = []
     crossings = []
     for p_star, _, report in results:
-        nets = expected_net_payoff_fake(xs, p_star, cfg.n, params, TailMode(cfg.tail))
+        nets = _model_fns(replace(cfg, pstar=p_star)).net(xs)
         best = int(np.argmax(nets))
         maxima.append(float(nets[best]))
         crossings.append(report.equilibria[0].x if report.equilibria else None)
@@ -570,17 +570,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _warn_ignored(what: str, given: dict, ignored) -> None:
-    """Name on one stderr line each setting in ignored that a flag or
-    the config file gave: flags with their "--", config keys without."""
-    flags = ["--" + name.replace("_", "-") for name in _KIND
-             if name in ignored and name in given["flag"]]
-    keys = [name for name in _KIND if name in ignored and name in given["config"]]
+def _warn_ignored(command: str, given: dict, used: set) -> None:
+    """Name on one stderr line each setting that a flag or the config
+    file gave and the run does not read: flags with their "--", in
+    RunConfig order with --out last, then config keys without."""
+    flags = ["--" + name.replace("_", "-") for name in (*_KIND, "out")
+             if name in given["flag"] and name not in used]
+    keys = [name for name in _KIND if name in given["config"] and name not in used]
     parts = [", ".join(flags)] if flags else []
     if keys:
         parts.append("config keys " + ", ".join(keys))
     if parts:
-        print(f"warning: {what}; ignoring {' and '.join(parts)}", file=sys.stderr)
+        print(f"warning: {command} ignores {' and '.join(parts)}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -588,32 +589,23 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, given = _build_config(args)
-        if args.command in ("curve", "equilibria", "sweep"):
-            what = f"{args.command} runs no simulation"
-            ignored = {"x", "xf", "trials", "seed"}
-            if args.command == "sweep":
-                what += f" and takes {args.param} from --values"
-                ignored.add(args.param)
-            _warn_ignored(what, given, ignored)
+        if args.out is not None:
+            given["flag"]["out"] = args.out
+        swept = {}
+        if args.command == "sweep":
+            values = _sweep_values(cfg, args.param, args.values, args.out)
+            swept = {args.param: values[0]}  # --values decides it
+        cfg = replace(cfg, **swept)
+        _warn_ignored(args.command, given, reads(args.command, cfg) - set(swept))
         if args.command == "curve":
             return cmd_curve(cfg, args.out)
         if args.command == "equilibria":
             return cmd_equilibria(cfg)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.param, args.values, args.out)
+            return cmd_sweep(cfg, args.param, values, args.out)
         if args.command == "simulate":
-            if cfg.model == "fake":
-                _warn_ignored("simulate always checks the full turnout average", given,
-                              {"tail", "x"})
-            else:
-                _warn_ignored("simulate of the truth model has no fake side", given,
-                              {"f", "cf", "pstar", "xf", "tail", "strict_dominance"})
             return cmd_simulate(cfg)
         if args.command == "reproduce":
-            # the figure fixes every model parameter; only the scan
-            # settings grid and tol (and --out, --config) reach it
-            _warn_ignored(f"reproduce {args.figure} uses its own model parameters", given,
-                          set(_KIND) - {"grid", "tol"})
             return cmd_reproduce(args.figure, args.out, cfg.grid, cfg.tol)
         raise ValueError(f"unknown command {args.command!r}")
     except ValueError as exc:

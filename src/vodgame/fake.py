@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _pmf_window, mix, require_probability
-from .truth import PayoffPair, _require_count, _role
+from .numerics import _pmf_window, _require_count, mix, require_probability
+from .truth import PayoffPair, _role
 
 __all__ = [
     "FakeGameParams",
     "TailMode",
-    "individual_payoff_fake",
     "avg_payoff_fake_volunteer",
     "avg_payoff_fake_defector",
     "expected_fake_payoffs",
@@ -68,30 +67,6 @@ def _wins(fake_volunteers: int, regular_volunteers: int, strict: bool) -> bool:
     return fake_volunteers >= regular_volunteers
 
 
-def individual_payoff_fake(
-    fake_volunteers_total: int,
-    regular_volunteers: int,
-    volunteered: bool,
-    params: FakeGameParams,
-) -> float:
-    """Payoff of one fake-side agent given both realized counts."""
-    p = params
-    if not 0 <= fake_volunteers_total <= p.n_fake:
-        raise ValueError("fake_volunteers_total must lie in 0..n_fake")
-    if regular_volunteers < 0:
-        raise ValueError("regular_volunteers must be nonnegative")
-    if volunteered and fake_volunteers_total < 1:
-        raise ValueError("a volunteering agent implies fake_volunteers_total >= 1")
-    success = _wins(fake_volunteers_total, regular_volunteers, p.strict_dominance)
-    if volunteered:
-        return (
-            1.0 - p.cost_volunteer_fake
-            if success
-            else 1.0 - p.cost_volunteer_fake - p.cost_failure
-        )
-    return 1.0 if success else 1.0 - p.cost_failure
-
-
 def _gains(weights: np.ndarray, p: FakeGameParams):
     # mix's gains callable for the volunteer and defector over the focal
     # agent's 0..n_fake-1 volunteering peers, averaged over the regular
@@ -126,6 +101,7 @@ def _net_gains(weights: np.ndarray, p: FakeGameParams):
 def _gains_against(regular_volunteers: int, p: FakeGameParams):
     # _gains for a known turnout, from one-hot weights whose last entry
     # stands for every turnout above n_fake
+    _require_count(regular_volunteers, "regular_volunteers")
     if regular_volunteers < 0:
         raise ValueError("regular_volunteers must be nonnegative")
     weights = np.zeros(p.n_fake + 2)

@@ -92,6 +92,13 @@ def require_probability(value, name: str = "probability"):
     return v
 
 
+def _require_count(value, name: str) -> None:
+    # a player count must be an int or a numpy integer; a bool or a float,
+    # even a whole one, is rejected where it enters
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _log_factorials(n: int) -> np.ndarray:
     """log m! for m = 0..n: exact factorials up to m = 12, the Stirling
     series above, built in blocks so no temporary grows with n."""
@@ -162,6 +169,7 @@ def pmf_row(n: int, x: float) -> np.ndarray:
     the module docstring) are computed, and the row is those entries
     written into zeros; the payoff functions read the window alone.
     """
+    _require_count(n, "n")
     lo, entries = _pmf_window(n, x)
     row = np.zeros(n + 1)
     row[lo : lo + entries.size] = entries

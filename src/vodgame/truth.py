@@ -15,24 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import mix
+from .numerics import _require_count, mix
 
 __all__ = [
     "TruthGameParams",
     "PayoffPair",
-    "individual_payoff_regular",
     "avg_payoff_volunteer",
     "avg_payoff_defector",
     "net_payoff_regular",
     "payoff_pair_regular",
 ]
-
-
-def _require_count(value, name: str) -> None:
-    # a player count must be an int or a numpy integer; a bool or a float,
-    # even a whole one, is rejected where it enters
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,26 +73,6 @@ class TruthGameParams:
                 "cost_volunteer >= cost_failure makes defection dominant; "
                 "set allow_nonstandard=True to study it anyway"
             )
-
-
-def individual_payoff_regular(
-    volunteers_total: int, volunteered: bool, params: TruthGameParams
-) -> float:
-    """Base payoff of one agent given the realized volunteer count.
-
-    volunteers_total counts every volunteer including the focal agent
-    when it volunteered. Shared-reward transfers are not part of the
-    base payoff; the population averages add them on the success event.
-    """
-    p = params
-    if not 0 <= volunteers_total <= p.n_regular:
-        raise ValueError("volunteers_total must lie in 0..n_regular")
-    if volunteered and volunteers_total < 1:
-        raise ValueError("a volunteering agent implies volunteers_total >= 1")
-    success = volunteers_total >= p.threshold
-    if volunteered:
-        return 1.0 - p.cost_volunteer if success else 1.0 - p.cost_volunteer - p.cost_failure
-    return 1.0 if success else 1.0 - p.cost_failure
 
 
 def _gains(params: TruthGameParams):

@@ -7,23 +7,22 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from vodgame.cli import (
     CURVE_HEADER,
-    FAKE_SWEEPABLE,
     SUMMARY_HEADER,
     SWEEP_HEADER,
-    TRUTH_SWEEPABLE,
     RunConfig,
     _build_config,
     _load_config_file,
-    _parse_sweep_values,
+    _sweep_values,
     build_parser,
     main,
+    reads,
 )
 from vodgame.truth import TruthGameParams, payoff_pair_regular
 
@@ -186,9 +185,28 @@ def test_sweep_requires_out_path(capsys):
 
 
 def test_sweep_rejects_foreign_parameter(tmp_path, capsys):
-    code = run_cli("sweep", "--model", "fake", "--param", "sigma",
+    """With --pstar given the fake model never reads sigma, so it cannot
+    be swept; the error names the fields that can."""
+    code = run_cli("sweep", "--model", "fake", "--pstar", "0.06", "--param", "sigma",
                    "--values", "5", "--out", str(tmp_path / "x.csv"))
     assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("error: cannot sweep 'sigma' in the fake model; "
+                   "choose one of n, f, alpha, cf, pstar\n")
+
+
+@pytest.mark.parametrize("param,values", [("n", "100,120"), ("sigma", "5,5.5")])
+def test_fake_sweep_varies_the_settings_pstar_comes_from(tmp_path, param, values):
+    """Without --pstar the fake model reads the validation game's settings
+    through p*, so they can be swept: under full averaging the push is
+    mixed at sigma = 5 and dominated from sigma = 5.5 on."""
+    out = tmp_path / "s.csv"
+    argv = ("sweep", "--model", "fake", "--param", param, "--values", values)
+    assert run_cli(*argv, "--out", str(out)) == 0
+    _, rows = read_rows(tmp_path / "s_summary.csv")
+    assert [row[0] for row in rows] == values.split(",")
+    if param == "sigma":
+        assert [row[1] for row in rows] == ["mixed", "dominant_defect"]
 
 
 def test_sweep_rejects_empty_values(tmp_path):
@@ -196,15 +214,17 @@ def test_sweep_rejects_empty_values(tmp_path):
                    "--out", str(tmp_path / "x.csv")) == 2
 
 
-@pytest.mark.parametrize("param", sorted(set(TRUTH_SWEEPABLE + FAKE_SWEEPABLE)))
+# a fake model that derives p* reads every model field
+@pytest.mark.parametrize("param", ["n", "f", "k", "c", "alpha", "cf", "sigma", "pstar"])
 def test_sweep_values_take_their_fields_type(param):
-    values = _parse_sweep_values(param, "3, 4,")
+    cfg = RunConfig(model="fake")
+    values = _sweep_values(cfg, param, "3, 4,", "s.csv")
     counts = param in ("n", "k", "f")
     assert values == (3, 4)
     assert all(type(v) is (int if counts else float) for v in values)
     if counts:
         with pytest.raises(ValueError):
-            _parse_sweep_values(param, "3.5")
+            _sweep_values(cfg, param, "3.5", "s.csv")
 
 
 # ---------------------------------------------------------------- simulate
@@ -249,28 +269,28 @@ def test_simulate_fake_derives_turnout_from_equilibrium(capsys):
     assert abs(doc["z_v"]) <= 5.0
 
 
-_FAKE_WARNING = "warning: simulate always checks the full turnout average"
-_TRUTH_WARNING = "warning: simulate of the truth model has no fake side"
-
-
 @pytest.mark.parametrize(
-    "model,name,value,warning",
+    "model,name,value",
     [
-        ("fake", "tail", "truncated", _FAKE_WARNING),
-        ("truth", "strict_dominance", True, _TRUTH_WARNING),
-        ("fake", "x", 0.3, _FAKE_WARNING),
-        ("truth", "f", 3, _TRUTH_WARNING),
-        ("truth", "cf", 0.2, _TRUTH_WARNING),
-        ("truth", "pstar", 0.06, _TRUTH_WARNING),
-        ("truth", "xf", 0.3, _TRUTH_WARNING),
-        ("truth", "tail", "truncated", _TRUTH_WARNING),
+        ("fake", "tail", "truncated"),
+        ("truth", "strict_dominance", True),
+        ("fake", "x", 0.3),
+        ("fake", "k", 9),
+        ("fake", "grid", 300),
+        ("truth", "f", 3),
+        ("truth", "cf", 0.2),
+        ("truth", "pstar", 0.06),
+        ("truth", "xf", 0.3),
+        ("truth", "tail", "truncated"),
+        ("truth", "grid", 300),
     ],
 )
-def test_simulate_names_the_settings_it_ignores(tmp_path, capsys, model, name, value, warning):
+def test_simulate_names_the_settings_it_ignores(tmp_path, capsys, model, name, value):
     """A setting simulate never reads for its model is named on one stderr
     line, as a flag with its "--" and as a config key without; stdout
-    and the exit code stay those of a plain run. The fake model reads
-    --pstar, so only its plain run passes it."""
+    and the exit code stay those of a plain run. The fake model's plain
+    run passes --pstar, so it reads none of the validation game's
+    settings and no search setting."""
     base = ("simulate", "--model", model, "--trials", "2000", "--seed", "7")
     if model == "fake":
         base += ("--pstar", "0.06")
@@ -285,45 +305,125 @@ def test_simulate_names_the_settings_it_ignores(tmp_path, capsys, model, name, v
         assert run_cli(*base, *extra) == 0
         captured = capsys.readouterr()
         assert captured.out == plain.out
-        assert captured.err == f"{warning}; ignoring {named}\n"
+        assert captured.err == f"warning: simulate ignores {named}\n"
 
 
+_SIGMA_SWEEP = ("--param", "sigma", "--values", "5,6")
 _SEARCH_IGNORED = [
-    (command, name, value)
-    for command in ("curve", "equilibria", "sweep")
+    (command, extra, {name: value})
+    for command, extra in (("curve", ()), ("equilibria", ()), ("sweep", _SIGMA_SWEEP))
     for name, value in (("x", 0.3), ("xf", 0.2), ("trials", 5), ("seed", 3))
-] + [("sweep", "sigma", 9.0)]
+] + [
+    ("sweep", _SIGMA_SWEEP, {"sigma": 9.0}),
+    ("equilibria", (), {"f": 3, "cf": 0.2, "tail": "truncated"}),
+    ("equilibria", ("--model", "fake", "--pstar", "0.06"), {"k": 9, "sigma": 7.0}),
+    ("equilibria", (), {"xmin": 0.2, "points": 7}),
+    ("curve", (), {"grid": 300, "tol": 1e-3}),
+    ("sweep", ("--model", "fake", "--param", "pstar", "--values", "0.06"), {"k": 9}),
+]
 
 
-@pytest.mark.parametrize("command,name,value", _SEARCH_IGNORED)
-def test_search_commands_name_the_settings_they_ignore(tmp_path, capsys, command, name, value):
-    """curve, equilibria and sweep run no simulation, and sweep takes its
-    swept field from --values. A setting they never read is named on one
-    stderr line, as a flag and as a config key; stdout, the files written
-    and the exit code stay those of a plain run."""
+@pytest.mark.parametrize(
+    "command,extra,settings", _SEARCH_IGNORED,
+    ids=[command + "".join(f"-{name}-{value}" for name, value in settings.items())
+         for command, _, settings in _SEARCH_IGNORED],
+)
+def test_search_commands_name_the_settings_they_ignore(tmp_path, capsys, command, extra, settings):
+    """curve, equilibria and sweep run no simulation, equilibria samples
+    no curve, curve runs no search, the truth model has no fake side, a
+    given --pstar leaves the validation game unread, and sweep takes its
+    swept field from --values. The settings a run never reads are named
+    on one stderr line, as flags and as config keys; stdout, the files
+    written and the exit code stay those of a plain run."""
     out = tmp_path / "sweep.csv"
     files = (out, tmp_path / "sweep_summary.csv")
-    base = (command,)
-    warning = f"warning: {command} runs no simulation"
-    if command == "sweep":
-        base += ("--param", "sigma", "--values", "5,6", "--out", str(out))
-        warning += " and takes sigma from --values"
+    base = (command, *extra) + (("--out", str(out)) if command == "sweep" else ())
     assert run_cli(*base) == 0
     plain = capsys.readouterr()
     assert plain.err == ""
     written = [path.read_bytes() for path in files if path.exists()]
     assert len(written) == (2 if command == "sweep" else 0)
     cfgfile = tmp_path / "run.json"
-    cfgfile.write_text(json.dumps({name: value}), encoding="utf-8")
-    for extra, named in (
-        (("--" + name, str(value)), "--" + name),
-        (("--config", str(cfgfile)), "config keys " + name),
+    cfgfile.write_text(json.dumps(settings), encoding="utf-8")
+    flags = [(f"--{name}", str(value)) for name, value in settings.items()]
+    for argv, named in (
+        ([text for flag in flags for text in flag], ", ".join(flag for flag, _ in flags)),
+        (("--config", str(cfgfile)), "config keys " + ", ".join(settings)),
     ):
-        assert run_cli(*base, *extra) == 0
+        assert run_cli(*base, *argv) == 0
         captured = capsys.readouterr()
         assert captured.out == plain.out
-        assert captured.err == f"{warning}; ignoring {named}\n"
+        assert captured.err == f"warning: {command} ignores {named}\n"
         assert [path.read_bytes() for path in files if path.exists()] == written
+
+
+@pytest.mark.parametrize("command", ["equilibria", "simulate"])
+def test_json_commands_name_the_out_they_ignore(tmp_path, capsys, command):
+    """equilibria and simulate print their JSON to stdout: --out is named
+    on the warning line and no file is written."""
+    base = (command, "--trials", "200") if command == "simulate" else (command,)
+    assert run_cli(*base) == 0
+    plain = capsys.readouterr()
+    target = tmp_path / "result.json"
+    assert run_cli(*base, "--out", str(target)) == 0
+    captured = capsys.readouterr()
+    assert plain.err == ""
+    assert captured.out == plain.out
+    assert captured.err == f"warning: {command} ignores --out\n"
+    assert not target.exists()
+
+
+# a flag value for every setting, unlike the default and the base runs below
+_OTHER_VALUES = {
+    "n": "50", "f": "4", "k": "5", "c": "0.4", "alpha": "0.8", "cf": "0.2", "sigma": "6",
+    "pstar": "0.05", "x": "0.1", "xf": "0.3", "xmin": "0.1", "xmax": "0.8", "points": "11",
+    "grid": "65", "tol": "1e-9", "tail": "truncated", "strict_dominance": None,
+    "trials": "10", "seed": "1", "allow_nonstandard": None,
+}
+_READS_BASES = {
+    "curve": (),
+    "equilibria": (),
+    "sweep": ("--param", "alpha", "--values", "0.85"),
+    "simulate": (),
+    "reproduce": ("fig1",),
+}
+
+
+@pytest.mark.parametrize("pstar", [None, "0.06"])
+@pytest.mark.parametrize("model", ["truth", "fake"])
+@pytest.mark.parametrize("command", sorted(_READS_BASES))
+def test_settings_outside_reads_change_no_output(tmp_path, capsys, command, model, pstar):
+    """Every setting outside reads(command, cfg), all given at once as
+    flags, leaves the exit code, stdout and the files written as a plain
+    run left them, and the warning names each of them."""
+    base = [command, *_READS_BASES[command], "--model", model,
+            "--grid", "64", "--points", "5", "--trials", "200"]
+    base += [] if pstar is None else ["--pstar", pstar]
+    cfg, _ = _build_config(build_parser().parse_args(base))
+    if command == "sweep":
+        cfg = replace(cfg, alpha=0.85)
+    settings = [f.name for f in fields(RunConfig)] + ["out"]
+    outside = [name for name in settings if name not in reads(command, cfg)]
+    if command == "sweep":
+        outside.append("alpha")  # --values decides it
+    values = dict(_OTHER_VALUES, model="truth" if model == "fake" else "fake",
+                  out=str(tmp_path / "ignored.json"))
+    flags = ["--" + name.replace("_", "-") for name in outside]
+    extra = [text for flag, name in zip(flags, outside) for text in (flag, values[name]) if text]
+    runs = {}
+    for run, argv in (("plain", base), ("outside", base + extra)):
+        folder = tmp_path / run
+        folder.mkdir()
+        if "out" not in outside:
+            argv = argv + ["--out", str(folder if command == "reproduce" else folder / "o.csv")]
+        code = run_cli(*argv)
+        captured = capsys.readouterr()
+        files = {path.name: path.read_bytes() for path in folder.iterdir()}
+        runs[run] = (code, captured.out, files), set(re.findall(r"--[a-z-]+", captured.err))
+    assert runs["outside"][0] == runs["plain"][0]
+    assert runs["plain"][0][0] == 0
+    assert set(flags) <= runs["outside"][1]
+    assert not (tmp_path / "ignored.json").exists()
 
 
 def test_fake_sweep_derives_pstar_once_per_value(tmp_path, monkeypatch):
@@ -402,9 +502,7 @@ def test_reproduce_names_the_config_keys_it_ignores(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
-    assert line.startswith("warning: reproduce fig1 uses its own model parameters")
-    assert re.findall(r"--[a-z-]+", line) == ["--k"]
-    assert line.endswith("ignoring --k and config keys n, sigma")
+    assert line == "warning: reproduce ignores --k and config keys n, sigma"
     assert sorted(os.listdir(configured)) == sorted(os.listdir(plain))
     for name in os.listdir(plain):
         assert (configured / name).read_bytes() == (plain / name).read_bytes(), name
@@ -520,7 +618,7 @@ def test_config_file_validation(tmp_path, capsys, payload, error):
     err = capsys.readouterr().err
     if error is None:  # equilibria runs no simulation and names the key it ignores
         assert code == 0
-        assert err == "warning: equilibria runs no simulation; ignoring config keys trials\n"
+        assert err == "warning: equilibria ignores config keys trials\n"
         (value,) = _load_config_file(str(cfgfile)).values()
         assert value == 5 and type(value) is int
     else:

@@ -14,7 +14,6 @@ from vodgame.fake import (
     avg_payoff_fake_volunteer,
     expected_fake_payoffs,
     expected_net_payoff_fake,
-    individual_payoff_fake,
 )
 from vodgame.numerics import pmf_row
 from vodgame.oracle import enumerate_fake_exact
@@ -64,38 +63,45 @@ def test_rejects_n_regular_that_is_not_an_integer(fn, value):
         fn(0.5, 0.09, value, BASELINE)
 
 
+@pytest.mark.parametrize("fn", [avg_payoff_fake_volunteer, avg_payoff_fake_defector])
+@pytest.mark.parametrize("value", [3.0, True])
+def test_rejects_turnout_that_is_not_an_integer(fn, value):
+    with pytest.raises(ValueError, match="regular_volunteers must be an integer"):
+        fn(0.3, value, BASELINE)
+
+
 def test_accepts_numpy_integer_counts():
     p = FakeGameParams(n_fake=np.int64(8))
     want = expected_net_payoff_fake(0.3, 0.09, 100, BASELINE)
     assert expected_net_payoff_fake(0.3, 0.09, np.int64(100), p) == want
 
 
-# ---------------------------------------------------------------- individual
+# ---------------------------------------------------------- one realized count
+# At x_f = 0 no peer volunteers and at x_f = 1 every one does, so exact
+# enumeration weighs one profile with weight 1: the game's rule for one count.
 
 
 def test_individual_tie_counts_as_success():
-    assert individual_payoff_fake(6, 6, True, BASELINE) == 0.9
+    # six pushers against a turnout of six
+    pair = enumerate_fake_exact(FakeGameParams(n_fake=6), 6, 1.0)
+    assert pair.volunteer_avg == 0.9
 
 
 def test_individual_outnumbered_volunteer_loses_both_costs():
-    got = individual_payoff_fake(3, 6, True, BASELINE)
-    assert got == pytest.approx(0.0, abs=1e-15)
+    pair = enumerate_fake_exact(FakeGameParams(n_fake=3), 6, 1.0)
+    assert pair.volunteer_avg == pytest.approx(0.0, abs=1e-15)
 
 
 def test_individual_defector_wins_empty_tie():
     # zero against zero is still a tie
-    assert individual_payoff_fake(0, 0, False, BASELINE) == 1.0
+    assert enumerate_fake_exact(BASELINE, 0, 0.0).defector_avg == 1.0
 
 
 def test_individual_strict_mode_breaks_ties():
-    assert individual_payoff_fake(6, 6, True, STRICT) == pytest.approx(0.0, abs=1e-15)
-    assert individual_payoff_fake(7, 6, True, STRICT) == 0.9
-
-
-@pytest.mark.parametrize("total,m,vol", [(-1, 0, False), (9, 0, False), (0, 0, True), (3, -1, True)])
-def test_individual_rejects_impossible_counts(total, m, vol):
-    with pytest.raises(ValueError):
-        individual_payoff_fake(total, m, vol, BASELINE)
+    tie = enumerate_fake_exact(FakeGameParams(n_fake=6, strict_dominance=True), 6, 1.0)
+    assert tie.volunteer_avg == pytest.approx(0.0, abs=1e-15)
+    ahead = enumerate_fake_exact(FakeGameParams(n_fake=7, strict_dominance=True), 6, 1.0)
+    assert ahead.volunteer_avg == 0.9
 
 
 # ---------------------------------------------------------------- averages

@@ -101,6 +101,12 @@ def test_pmf_row_rejects_negative_n(n):
         pmf_row(n, 0.5)
 
 
+@pytest.mark.parametrize("n", [100.0, True])
+def test_pmf_row_rejects_n_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        pmf_row(n, 0.5)
+
+
 def test_log_pmf_rejects_bad_probability():
     with pytest.raises(ValueError):
         pmf_row(5, 1.5)

@@ -24,7 +24,6 @@ from vodgame.truth import (
     TruthGameParams,
     avg_payoff_defector,
     avg_payoff_volunteer,
-    individual_payoff_regular,
 )
 
 BASELINE = TruthGameParams()
@@ -221,8 +220,9 @@ def test_two_player_game_by_hand():
 def test_zero_mixing_reduces_to_single_profile():
     p = TruthGameParams(n_regular=14, threshold=5, shared_reward=2.0)
     pair = enumerate_truth_exact(p, 0.0)
-    assert pair.volunteer_avg == individual_payoff_regular(1, True, p)
-    assert pair.defector_avg == individual_payoff_regular(0, False, p)
+    # the lone volunteer misses the quorum of 5; so does the defector
+    assert pair.volunteer_avg == 1.0 - 0.5 - 0.9
+    assert pair.defector_avg == 1.0 - 0.9
 
 
 def test_enumeration_agrees_with_analytic_averages():

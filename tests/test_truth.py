@@ -9,7 +9,6 @@ from vodgame.truth import (
     TruthGameParams,
     avg_payoff_defector,
     avg_payoff_volunteer,
-    individual_payoff_regular,
     net_payoff_regular,
     payoff_pair_regular,
 )
@@ -70,32 +69,32 @@ def test_nonstandard_cost_ordering_needs_opt_in():
     assert p.cost_volunteer == 0.9
 
 
-# ---------------------------------------------------------------- individual
+# ---------------------------------------------------------- one realized count
+# At x = 0 no co-player volunteers and at x = 1 every one does, so exact
+# enumeration weighs one profile with weight 1: the game's rule for one count.
 
 
 def test_individual_volunteer_at_quorum():
-    # six volunteers meet threshold 6; the volunteer keeps 1 - c
-    assert individual_payoff_regular(6, True, BASELINE) == 0.5
+    # the sixth of six volunteers meets threshold 6; its reward share 5/6
+    # and its fee 5/6 cancel, so it keeps 1 - c
+    pair = enumerate_truth_exact(TruthGameParams(n_regular=6), 1.0)
+    assert pair.volunteer_avg == pytest.approx(0.5, abs=1e-15)
 
 
 def test_individual_volunteer_below_quorum():
-    got = individual_payoff_regular(5, True, BASELINE)
-    assert got == pytest.approx(-0.4, abs=1e-15)
+    pair = enumerate_truth_exact(TruthGameParams(n_regular=6), 0.0)
+    assert pair.volunteer_avg == pytest.approx(-0.4, abs=1e-15)
 
 
 def test_individual_defector_when_nobody_volunteers():
-    p = TruthGameParams(threshold=1)
-    assert individual_payoff_regular(0, False, p) == pytest.approx(0.1, abs=1e-15)
+    pair = enumerate_truth_exact(TruthGameParams(n_regular=6, threshold=1), 0.0)
+    assert pair.defector_avg == pytest.approx(0.1, abs=1e-15)
 
 
 def test_individual_defector_on_success():
-    assert individual_payoff_regular(6, False, BASELINE) == 1.0
-
-
-@pytest.mark.parametrize("count,volunteered", [(-1, False), (101, False), (0, True)])
-def test_individual_rejects_impossible_counts(count, volunteered):
-    with pytest.raises(ValueError):
-        individual_payoff_regular(count, volunteered, BASELINE)
+    # six co-volunteers meet threshold 6; without a reward pot there is no fee
+    pair = enumerate_truth_exact(TruthGameParams(n_regular=7, shared_reward=0.0), 1.0)
+    assert pair.defector_avg == 1.0
 
 
 # ---------------------------------------------------------------- averages
