@@ -18,8 +18,6 @@ from .equilibrium import (
 from .fake import (
     FakeGameParams,
     TailMode,
-    avg_payoff_fake_defector,
-    avg_payoff_fake_volunteer,
     expected_fake_payoffs,
     expected_net_payoff_fake,
 )
@@ -55,8 +53,6 @@ __all__ = [
     "TruthGameParams",
     "UNSTABLE",
     "avg_payoff_defector",
-    "avg_payoff_fake_defector",
-    "avg_payoff_fake_volunteer",
     "avg_payoff_volunteer",
     "enumerate_fake_exact",
     "enumerate_truth_exact",

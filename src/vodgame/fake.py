@@ -17,13 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import _pmf_window, _require_count, mix, require_probability
-from .truth import PayoffPair, _role
+from .truth import PayoffPair
 
 __all__ = [
     "FakeGameParams",
     "TailMode",
-    "avg_payoff_fake_volunteer",
-    "avg_payoff_fake_defector",
     "expected_fake_payoffs",
     "expected_net_payoff_fake",
 ]
@@ -93,37 +91,10 @@ def _gains(weights: np.ndarray, p: FakeGameParams):
 
 
 def _net_gains(weights: np.ndarray, p: FakeGameParams):
-    # mix's gains callable for the net alone: volunteer minus defector gains
-    gains = _gains(weights, p)
-    return lambda m: np.subtract(*gains(m))[None]
-
-
-def _gains_against(regular_volunteers: int, p: FakeGameParams):
-    # _gains for a known turnout, from one-hot weights whose last entry
-    # stands for every turnout above n_fake
-    _require_count(regular_volunteers, "regular_volunteers")
-    if regular_volunteers < 0:
-        raise ValueError("regular_volunteers must be nonnegative")
-    weights = np.zeros(p.n_fake + 2)
-    weights[min(regular_volunteers, p.n_fake + 1)] = 1.0
-    return _gains(weights, p)
-
-
-def avg_payoff_fake_volunteer(
-    x_f, regular_volunteers: int, params: FakeGameParams
-) -> float:
-    """Expected payoff of a fake volunteer against a known regular
-    turnout, its n_fake-1 peers volunteering independently with
-    probability x_f (a float or an array of them)."""
-    return mix(_role(_gains_against(regular_volunteers, params), 0), params.n_fake - 1, x_f)[0]
-
-
-def avg_payoff_fake_defector(
-    x_f, regular_volunteers: int, params: FakeGameParams
-) -> float:
-    """Expected payoff of a fake-side defector against a known regular
-    turnout."""
-    return mix(_role(_gains_against(regular_volunteers, params), 1), params.n_fake - 1, x_f)[0]
+    # mix's gains callable for the net, _gains' row 0 minus row 1 as one term:
+    # monotone in the pmf entry, so it rises and falls with the turnout pmf
+    lo = 0 if p.strict_dominance else 1  # M = j + lo
+    return lambda m: p.cost_failure * weights[None, m + lo] - p.cost_volunteer_fake * weights.sum()
 
 
 def _turnout(p_star: float, n_regular: int, params: FakeGameParams, tail: TailMode) -> np.ndarray:
@@ -157,6 +128,7 @@ def expected_fake_payoffs(
 
     p_star is the regular agents' volunteering probability, normally
     their stable equilibrium. See TailMode for the averaging range.
+    Under FULL, p_star = 1.0 and n_regular = r give a known turnout r >= 1.
     """
     weights = _turnout(p_star, n_regular, params, tail)
     v, d = mix(_gains(weights, params), params.n_fake - 1, x_f)

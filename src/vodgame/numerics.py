@@ -93,10 +93,12 @@ def require_probability(value, name: str = "probability"):
 
 
 def _require_count(value, name: str) -> None:
-    # a player count must be an int or a numpy integer; a bool or a float,
-    # even a whole one, is rejected where it enters
+    # a count or a seed must be a nonnegative int or numpy integer; a bool
+    # or a float, even a whole one, is rejected where it enters
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -150,8 +152,6 @@ def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _pmf_window(n: int, x: float) -> tuple[int, np.ndarray]:
     # first count lo and the Binomial(n, x) pmf entries from lo on inside
     # x's Bernstein window; below one tile of counts the whole row
-    if n < 0:
-        raise ValueError(f"n must be at least 0, got {n!r}")
     xs = np.array([require_probability(x, "x")])
     lo, hi = 0, n + 1
     if n >= _TILE:

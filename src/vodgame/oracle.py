@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fake import FakeGameParams, _wins
-from .numerics import require_probability
+from .numerics import _require_count, require_probability
 from .truth import PayoffPair, TruthGameParams
 
 __all__ = [
@@ -100,6 +100,8 @@ def _chunk_sizes(trials: int) -> list[int]:
 def _simulate(draw, trials: int, seed: int) -> SimResult:
     # draw(rng, size) returns the volunteer and defector payoff arrays of
     # one chunk; every chunk is scored and merged in index order
+    _require_count(trials, "trials")
+    _require_count(seed, "seed")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     vol = _RunningMean()
@@ -180,6 +182,7 @@ def simulate_fake(
     """
     p_star = require_probability(p_star, "p_star")
     x_f = require_probability(x_f, "x_f")
+    _require_count(n_regular, "n_regular")
     if n_regular < 1:
         raise ValueError("n_regular must be at least 1")
 
@@ -226,8 +229,7 @@ def enumerate_fake_exact(
     """Average fake-side payoffs against a known regular turnout by
     explicit enumeration of all 2^(n_fake - 1) peer profiles."""
     x_f = require_probability(x_f, "x_f")
-    if regular_volunteers < 0:
-        raise ValueError("regular_volunteers must be nonnegative")
+    _require_count(regular_volunteers, "regular_volunteers")
     if params.n_fake > 16:
         raise ValueError("exact enumeration supports n_fake <= 16")
     return _enumerate(

@@ -23,3 +23,34 @@ def exact_tail_above(n: int, f: int, x: float) -> float:
     a, d = x.as_integer_ratio()
     below = sum(math.comb(n, m) * a**m * (d - a) ** (n - m) for m in range(min(f, n) + 1))
     return (d**n - below) / d**n
+
+
+def exact_tail_at_least(n: int, k: int, x: float) -> Fraction:
+    """P[M >= k] for M ~ Binomial(n, x) as an exact rational."""
+    a, d = x.as_integer_ratio()
+    above = sum(math.comb(n, m) * a**m * (d - a) ** (n - m) for m in range(k, n + 1))
+    return Fraction(above, d**n)
+
+
+def exact_regular_payoffs(params, x: float) -> tuple[Fraction, Fraction, Fraction]:
+    """Volunteer, defector and net payoffs of the validation game at
+    0 < x < 1, as exact rationals, through the pivot probability
+    (Diekmann 1985, "Volunteer's Dilemma"). With C(n-1, m)/(m+1) =
+    C(n, m+1)/n the reward share sums to sigma/(n x) P[Bin(n, x) >= k]:
+
+    - net: -c + (alpha - sigma/n) b(k-1; n-1, x) + sigma/(n x) P[Bin(n, x) >= k]
+    - defector: (1-alpha) + (alpha - sigma/n) P[Bin(n-1, x) >= k]
+    - volunteer: (1-c-alpha) + (alpha - sigma/n) P[Bin(n-1, x) >= k-1]
+      + sigma/(n x) P[Bin(n, x) >= k]
+
+    The net is written in its own form, not as volunteer minus defector.
+    """
+    n, k = params.n_regular, params.threshold
+    c, alpha = Fraction(params.cost_volunteer), Fraction(params.cost_failure)
+    sigma = Fraction(params.shared_reward)
+    pivot = alpha - sigma / n
+    share = sigma / (n * Fraction(x)) * exact_tail_at_least(n, k, x)
+    volunteer = (1 - c - alpha) + pivot * exact_tail_at_least(n - 1, k - 1, x) + share
+    defector = (1 - alpha) + pivot * exact_tail_at_least(n - 1, k, x)
+    net = -c + pivot * exact_pmf(n - 1, k - 1, x) + share
+    return volunteer, defector, net

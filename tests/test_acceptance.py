@@ -25,6 +25,7 @@ from vodgame.equilibrium import (
 from vodgame.fake import (
     FakeGameParams,
     TailMode,
+    expected_fake_payoffs,
     expected_net_payoff_fake,
 )
 from vodgame.oracle import (
@@ -39,7 +40,6 @@ from vodgame.truth import (
     avg_payoff_volunteer,
     net_payoff_regular,
 )
-from vodgame.fake import avg_payoff_fake_defector, avg_payoff_fake_volunteer
 
 
 def truth_report(**kwargs):
@@ -138,15 +138,17 @@ def test_c07_exact_enumeration_agreement():
                     assert avg_payoff_defector(x, params) == pytest.approx(
                         pair.defector_avg, abs=1e-10
                     ), (n, k, sigma, x)
+    # a known turnout m is M ~ Binomial(m, 1), or Binomial(1, 0) for m = 0
     for f in range(1, 11):
         fparams = FakeGameParams(n_fake=f)
         for m in range(13):
             for x_f in (0.2, 0.5, 0.8):
                 pair = enumerate_fake_exact(fparams, m, x_f)
-                assert avg_payoff_fake_volunteer(x_f, m, fparams) == pytest.approx(
+                got = expected_fake_payoffs(x_f, float(m > 0), max(m, 1), fparams)
+                assert got.volunteer_avg == pytest.approx(
                     pair.volunteer_avg, abs=1e-10
                 ), (f, m, x_f)
-                assert avg_payoff_fake_defector(x_f, m, fparams) == pytest.approx(
+                assert got.defector_avg == pytest.approx(
                     pair.defector_avg, abs=1e-10
                 ), (f, m, x_f)
 

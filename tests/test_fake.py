@@ -1,5 +1,9 @@
 """Fake-side game: payoffs against a known regular turnout and the
-turnout-averaged expectations in both tail modes."""
+turnout-averaged expectations in both tail modes.
+
+A known turnout r is the binomial turnout M ~ Binomial(r, 1), or
+Binomial(1, 0) for r = 0: its pmf row is one-hot at r, so the FULL
+average is the payoff against r (see `against`)."""
 
 import math
 
@@ -10,8 +14,6 @@ from exact_binomial import exact_tail_above
 from vodgame.fake import (
     FakeGameParams,
     TailMode,
-    avg_payoff_fake_defector,
-    avg_payoff_fake_volunteer,
     expected_fake_payoffs,
     expected_net_payoff_fake,
 )
@@ -20,6 +22,14 @@ from vodgame.oracle import enumerate_fake_exact
 
 BASELINE = FakeGameParams()
 STRICT = FakeGameParams(strict_dominance=True)
+
+
+def against(x_f, turnout, params):
+    """Both averages against a known regular turnout, under FULL, which
+    weighs a turnout above n_fake as a loss for both roles."""
+    if turnout:
+        return expected_fake_payoffs(x_f, 1.0, turnout, params)
+    return expected_fake_payoffs(x_f, 0.0, 1, params)
 
 
 # ---------------------------------------------------------------- parameters
@@ -63,17 +73,17 @@ def test_rejects_n_regular_that_is_not_an_integer(fn, value):
         fn(0.5, 0.09, value, BASELINE)
 
 
-@pytest.mark.parametrize("fn", [avg_payoff_fake_volunteer, avg_payoff_fake_defector])
-@pytest.mark.parametrize("value", [3.0, True])
-def test_rejects_turnout_that_is_not_an_integer(fn, value):
+@pytest.mark.parametrize("value", [3.0, 3.5, True])
+def test_rejects_turnout_that_is_not_an_integer(value):
     with pytest.raises(ValueError, match="regular_volunteers must be an integer"):
-        fn(0.3, value, BASELINE)
+        enumerate_fake_exact(BASELINE, value, 0.3)
 
 
 def test_accepts_numpy_integer_counts():
     p = FakeGameParams(n_fake=np.int64(8))
     want = expected_net_payoff_fake(0.3, 0.09, 100, BASELINE)
     assert expected_net_payoff_fake(0.3, 0.09, np.int64(100), p) == want
+    assert enumerate_fake_exact(p, np.int64(3), 0.3) == enumerate_fake_exact(BASELINE, 3, 0.3)
 
 
 # ---------------------------------------------------------- one realized count
@@ -109,47 +119,46 @@ def test_individual_strict_mode_breaks_ties():
 
 def test_volunteer_avg_unopposed_is_certain():
     for x_f in (0.0, 0.5, 1.0):
-        assert avg_payoff_fake_volunteer(x_f, 0, BASELINE) == 0.9
+        assert against(x_f, 0, BASELINE).volunteer_avg == 0.9
 
 
 def test_volunteer_avg_full_squad_matches_equal_turnout():
     # all eight against eight is a tie, hence success
-    assert avg_payoff_fake_volunteer(1.0, 8, BASELINE) == 0.9
+    assert against(1.0, 8, BASELINE).volunteer_avg == 0.9
 
 
 def test_volunteer_avg_lone_pusher_outnumbered():
-    assert avg_payoff_fake_volunteer(0.0, 2, BASELINE) == pytest.approx(0.0, abs=1e-15)
+    assert against(0.0, 2, BASELINE).volunteer_avg == pytest.approx(0.0, abs=1e-15)
 
 
 def test_defector_avg_unopposed_is_one():
     for x_f in (0.0, 0.3, 1.0):
-        assert avg_payoff_fake_defector(x_f, 0, BASELINE) == 1.0
+        assert against(x_f, 0, BASELINE).defector_avg == 1.0
 
 
 def test_defector_avg_no_peers_active():
-    assert avg_payoff_fake_defector(0.0, 1, BASELINE) == pytest.approx(0.1, abs=1e-15)
+    assert against(0.0, 1, BASELINE).defector_avg == pytest.approx(0.1, abs=1e-15)
 
 
 def test_defector_avg_seven_peer_coin_flips():
     # P[Bin(7, 0.5) >= 4] = 1/2, so 0.1 + 0.9/2
-    got = avg_payoff_fake_defector(0.5, 4, BASELINE)
+    got = against(0.5, 4, BASELINE).defector_avg
     assert got == pytest.approx(0.55, abs=1e-12)
 
 
 def test_strict_mode_shifts_the_needed_count():
-    got = avg_payoff_fake_defector(0.5, 4, STRICT)
+    got = against(0.5, 4, STRICT).defector_avg
     want = 0.1 + 0.9 * (29.0 / 128.0)  # P[Bin(7,.5) >= 5] = 29/128
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_per_role_payoffs_mix_one_sequence(monkeypatch):
-    """Each per-role average of both games mixes only its own gain
-    sequence, one per kernel call, and keeps the bits it had as one row
-    of a two-sequence mix of both roles."""
-    import vodgame.fake
+    """Each per-role average of the validation game mixes only its own
+    gain sequence, one per kernel call, and keeps the bits it had as one
+    row of a two-sequence mix of both roles. The fake side has no
+    per-role average: a known turnout goes through expected_fake_payoffs
+    (see `against` and the tests above that use it)."""
     import vodgame.truth
-    from vodgame.fake import _gains_against
-    from vodgame.numerics import mix
     from vodgame.truth import (
         TruthGameParams,
         avg_payoff_defector,
@@ -159,22 +168,17 @@ def test_per_role_payoffs_mix_one_sequence(monkeypatch):
 
     xs = np.array([0.0, 5e-324, 1e-9, 0.2, 0.5, 1 - 1e-7, 1.0])
     truth = TruthGameParams()
-    cases = [(r, params) for r in (0, 3, 9) for params in (BASELINE, FakeGameParams(n_fake=101))]
     pair = payoff_pair_regular(xs, truth)
     want = [pair.volunteer_avg, pair.defector_avg]
-    for r, params in cases:
-        want += list(mix(_gains_against(r, params), params.n_fake - 1, xs))
     sequences = []
-    for module in (vodgame.truth, vodgame.fake):
-        def spy(gains, n, x, real=module.mix):
-            out = real(gains, n, x)
-            sequences.append(len(out))
-            return out
 
-        monkeypatch.setattr(module, "mix", spy)
+    def spy(gains, n, x, real=vodgame.truth.mix):
+        out = real(gains, n, x)
+        sequences.append(len(out))
+        return out
+
+    monkeypatch.setattr(vodgame.truth, "mix", spy)
     got = [avg_payoff_volunteer(xs, truth), avg_payoff_defector(xs, truth)]
-    for r, params in cases:
-        got += [avg_payoff_fake_volunteer(xs, r, params), avg_payoff_fake_defector(xs, r, params)]
     assert sequences == [1] * len(got)
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g.view(np.int64), w.view(np.int64))
@@ -215,14 +219,9 @@ def _check_against_turnout_loop(tail, n, params, p_star):
     x_f = 0.35
     m_hi = min(params.n_fake, n) if tail is TailMode.TRUNCATED else n
     weights = pmf_row(n, p_star)
-    v = math.fsum(
-        weights[m] * avg_payoff_fake_volunteer(x_f, m, params)
-        for m in range(m_hi + 1)
-    )
-    d = math.fsum(
-        weights[m] * avg_payoff_fake_defector(x_f, m, params)
-        for m in range(m_hi + 1)
-    )
+    pairs = [against(x_f, m, params) for m in range(m_hi + 1)]
+    v = math.fsum(weights[m] * pair.volunteer_avg for m, pair in enumerate(pairs))
+    d = math.fsum(weights[m] * pair.defector_avg for m, pair in enumerate(pairs))
     pair = expected_fake_payoffs(x_f, p_star, n, params, tail)
     assert pair.volunteer_avg == pytest.approx(v, abs=1e-12)
     assert pair.defector_avg == pytest.approx(d, abs=1e-12)
@@ -252,7 +251,7 @@ def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         expected_fake_payoffs(0.5, 0.09, 0, BASELINE)
     with pytest.raises(ValueError):
-        avg_payoff_fake_volunteer(0.5, -1, BASELINE)
+        enumerate_fake_exact(BASELINE, -1, 0.5)
     for bad in (np.array([0.1, math.nan]), np.array([-0.5, 0.5])):
         with pytest.raises(ValueError):
             expected_fake_payoffs(bad, 0.09, 100, BASELINE)
@@ -267,11 +266,13 @@ def _turnout_loop(x_f, p_star, n, params, tail):
     row = pmf_row(n, p_star)
     tail_row = row[f + 1 :]
     above = math.fsum(tail_row[np.flatnonzero(tail_row)]) if tail is TailMode.FULL else 0.0
-    sums = []
-    for avg in (avg_payoff_fake_volunteer, avg_payoff_fake_defector):
-        terms = [row[m] * avg(x_f, m, params) for m in np.flatnonzero(row[: f + 1]).tolist()]
-        sums.append(math.fsum(terms + [above * avg(x_f, f + 1, params)]))
-    return sums
+    kept = np.flatnonzero(row[: f + 1]).tolist()
+    weights = [row[m] for m in kept] + [above]
+    pairs = [against(x_f, m, params) for m in kept + [f + 1]]
+    return [
+        math.fsum(w * pair.volunteer_avg for w, pair in zip(weights, pairs)),
+        math.fsum(w * pair.defector_avg for w, pair in zip(weights, pairs)),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -329,8 +330,9 @@ def test_averages_stay_in_payoff_band():
     for m in range(13):
         for j in range(11):
             x_f = j / 10.0
-            assert lo <= avg_payoff_fake_volunteer(x_f, m, BASELINE) <= 1.0
-            assert lo <= avg_payoff_fake_defector(x_f, m, BASELINE) <= 1.0
+            pair = against(x_f, m, BASELINE)
+            assert lo <= pair.volunteer_avg <= 1.0
+            assert lo <= pair.defector_avg <= 1.0
 
 
 def test_net_stays_in_difference_band():
@@ -346,8 +348,9 @@ def test_net_stays_in_difference_band():
 
 @pytest.mark.parametrize("x_f", [0.0, 0.2, 0.5, 0.8, 1.0])
 def test_success_odds_never_improve_with_more_opposition(x_f):
-    vols = [avg_payoff_fake_volunteer(x_f, m, BASELINE) for m in range(15)]
-    defs_ = [avg_payoff_fake_defector(x_f, m, BASELINE) for m in range(15)]
+    pairs = [against(x_f, m, BASELINE) for m in range(15)]
+    vols = [pair.volunteer_avg for pair in pairs]
+    defs_ = [pair.defector_avg for pair in pairs]
     assert all(a >= b for a, b in zip(vols, vols[1:]))
     assert all(a >= b for a, b in zip(defs_, defs_[1:]))
 
@@ -358,9 +361,6 @@ def test_matches_exhaustive_enumeration(n_fake, x_f):
     p = FakeGameParams(n_fake=n_fake)
     for m in range(13):
         pair = enumerate_fake_exact(p, m, x_f)
-        assert avg_payoff_fake_volunteer(x_f, m, p) == pytest.approx(
-            pair.volunteer_avg, abs=1e-10
-        )
-        assert avg_payoff_fake_defector(x_f, m, p) == pytest.approx(
-            pair.defector_avg, abs=1e-10
-        )
+        got = against(x_f, m, p)
+        assert got.volunteer_avg == pytest.approx(pair.volunteer_avg, abs=1e-10)
+        assert got.defector_avg == pytest.approx(pair.defector_avg, abs=1e-10)

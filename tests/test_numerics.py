@@ -332,20 +332,21 @@ def test_kernel_ignores_its_own_underflow_when_numpy_raises(n):
     """log 0, m * log 0 and the underflow of exp and of products with
     subnormal entries happen by design. Under np.errstate(all="raise")
     the kernel and both games return the same bits as by default."""
-    from vodgame.fake import FakeGameParams, avg_payoff_fake_volunteer, expected_fake_payoffs
+    from vodgame.fake import FakeGameParams, expected_fake_payoffs
     from vodgame.truth import TruthGameParams, payoff_pair_regular
 
     xs = np.array([0.0, 5e-324, 3e-5, 0.5, 1.0])
     truth = TruthGameParams(n_regular=n, threshold=6)
-    peers = FakeGameParams(n_fake=n + 1)  # n volunteering peers
+    peers = FakeGameParams(n_fake=n + 1)  # n volunteering peers, against a turnout of 3
 
     def evaluate():
-        out = [payoff_pair_regular(xs, truth).net, avg_payoff_fake_volunteer(xs, 3, peers)]
+        out = [payoff_pair_regular(xs, truth).net]
+        out.append(expected_fake_payoffs(xs, 1.0, 3, peers).volunteer_avg)
         for x in xs:
             out.append(pmf_row(n, x))
             out.append(payoff_pair_regular(x, truth).net)
             out.append(expected_fake_payoffs(xs, x, n, FakeGameParams()).net)
-            out.append(avg_payoff_fake_volunteer(x, 3, peers))
+            out.append(expected_fake_payoffs(x, 1.0, 3, peers).volunteer_avg)
         return out
 
     plain = evaluate()

@@ -258,6 +258,20 @@ def test_simulation_input_validation():
         simulate_fake(0.09, 0, FAKE, 0.5, 100, seed=1)
     with pytest.raises(ValueError):
         simulate_fake(0.09, 100, FAKE, -0.2, 100, seed=1)
+    # counts must be ints or numpy integers, and a seed nonnegative
+    for trials in (1000.0, True):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            simulate_truth(BASELINE, 0.1, trials)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            simulate_fake(0.1, 100, FAKE, 0.5, trials)
+    for n_regular in (100.0, True):
+        with pytest.raises(ValueError, match="n_regular must be an integer"):
+            simulate_fake(0.1, n_regular, FAKE, 0.5, 100)
+    for seed, error in ((1.5, "seed must be an integer"), (-1, "seed must be nonnegative")):
+        with pytest.raises(ValueError, match=error):
+            simulate_truth(BASELINE, 0.1, 100, seed=seed)
+        with pytest.raises(ValueError, match=error):
+            simulate_fake(0.1, 100, FAKE, 0.5, 100, seed=seed)
 
 
 # ---------------------------------------------------------------- independence

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_binomial import exact_regular_payoffs
 
 from vodgame.numerics import mix
 from vodgame.oracle import enumerate_truth_exact
@@ -230,6 +232,32 @@ def test_matches_exhaustive_enumeration(n, k, sigma, x):
     pair = enumerate_truth_exact(p, x)
     assert avg_payoff_volunteer(x, p) == pytest.approx(pair.volunteer_avg, abs=1e-10)
     assert avg_payoff_defector(x, p) == pytest.approx(pair.defector_avg, abs=1e-10)
+
+
+PIVOT_XS = np.array([1e-4, 0.01, 0.05, 0.09, 0.1003, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999])
+
+
+@pytest.mark.parametrize("k", [1, 6, 8, 30, 100])
+@pytest.mark.parametrize("sigma", [0.0, 5.0, 50.0])
+def test_matches_the_exact_pivot_form_at_n_100(k, sigma):
+    """The pair and the net at n = 100 against exact rationals of the
+    pivot-probability forms. The bound is 1e-13 times the payoff's size
+    where that exceeds 1: at k = 1, sigma = 50, x = 0.01 the volunteer
+    payoff is 31.7, a mixture of gains up to 50, and is off by 1.1e-13."""
+    p = TruthGameParams(n_regular=100, threshold=k, shared_reward=sigma)
+    pair = payoff_pair_regular(PIVOT_XS, p)
+    net = net_payoff_regular(PIVOT_XS, p)
+    for i, x in enumerate(PIVOT_XS.tolist()):
+        volunteer, defector, exact_net = exact_regular_payoffs(p, x)
+        assert exact_net == volunteer - defector
+        for got, want in (
+            (pair.volunteer_avg[i], volunteer),
+            (pair.defector_avg[i], defector),
+            (pair.net[i], exact_net),
+            (net[i], exact_net),
+        ):
+            error = abs(Fraction(float(got)) - want)
+            assert error <= 1e-13 * max(1.0, abs(want)), (x, float(error))
 
 
 def test_net_is_continuous_on_dense_grid():
