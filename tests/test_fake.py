@@ -74,7 +74,7 @@ def test_rejects_n_regular_that_is_not_an_integer(fn, value):
 
 
 @pytest.mark.parametrize("value", [3.0, 3.5, True])
-def test_rejects_turnout_that_is_not_an_integer(value):
+def test_enumerate_fake_exact_rejects_turnout_that_is_not_an_integer(value):
     with pytest.raises(ValueError, match="regular_volunteers must be an integer"):
         enumerate_fake_exact(BASELINE, value, 0.3)
 
