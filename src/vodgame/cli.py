@@ -29,7 +29,7 @@ from .equilibrium import (
 )
 from .fake import FakeGameParams, TailMode, expected_fake_payoffs, expected_net_payoff_fake
 from .numerics import require_probability
-from .oracle import simulate_fake, simulate_truth
+from .oracle import _require_trials_and_seed, simulate_fake, simulate_truth
 from .truth import TruthGameParams, net_payoff_regular, payoff_pair_regular
 
 CURVE_HEADER = "x,volunteer_avg,defector_avg,net"
@@ -186,10 +186,7 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ValueError("grid must be >= 2")
     if not 0.0 < cfg.tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if cfg.trials < 1:
-        raise ValueError("trials must be >= 1")
-    if cfg.seed < 0:
-        raise ValueError("seed must be >= 0")
+    _require_trials_and_seed(cfg.trials, cfg.seed)
     if not cfg.xmin < cfg.xmax:
         raise ValueError("need xmin < xmax")
     require_probability(cfg.xmin, "xmin")

@@ -71,7 +71,7 @@ def _gains(weights: np.ndarray, p: FakeGameParams):
     # turnout M ~ weights: P[M = 0..n_fake], then the mass above n_fake
     # that the total counts (0.0 under TRUNCATED). Every M above n_fake
     # loses for both roles. The gains are built when mix calls for them,
-    # so a subnormal weight underflows under mix's np.errstate
+    # so a tiny weight's products underflow under mix's np.errstate
     f = p.n_fake
 
     def gains(m: np.ndarray) -> np.ndarray:

@@ -3,39 +3,38 @@
 mix averages gain sequences against Binomial(n, x) pmf rows for a whole
 array of x at once; pmf_row is the row at one x.
 
+One threshold decides which pmf entries exist: an entry whose log pmf is
+below _FLOOR = log 2^-1022 = -708.396..., the log of the smallest normal
+double, reads 0.0 everywhere, in pmf_row, in the fake side's turnout
+weights and in mix's sums, and exp runs only on the others. Below the
+threshold exp's result is subnormal or 0.0, and a subnormal one costs
+over 100 times an ordinary entry. Such an entry times a gain g is below
+2^-1022 |g|, and a term that small changes a float sum only where the sum
+is below 2^-968 |g| ~ 4e-292 |g| in magnitude, so a payoff could move
+only that close to 0: sums of O(1) gains cannot see it.
+
 From n = 1024 on, both build a row's entries only inside its Bernstein
 window, the counts m with |m - nx| < t, t = T/3 + sqrt(T^2/9 + 2T nx(1-x)),
-T = 746. Bernstein's inequality puts at most e^-T of the Binomial(n, x)
-mass past t on each side, so every entry out there has a log pmf below
--746 and its exp is exactly 0.0, as exp underflows below -745.13 and the
-log pmf's rounding error stays near 1e-7 at n = 10^6. Shorter rows, at
-most one tile of mix's sums, are built whole: at n = 100 the window
-arithmetic costs more than the entries it skips.
+T = 1 - _FLOOR = 709.396... Bernstein's inequality puts at most e^-T of
+the Binomial(n, x) mass past t on each side, so every entry out there has
+a log pmf below _FLOOR - 1 and would read 0.0 anyway: the margin of 1 is
+far above the log pmf's rounding error, near 1e-7 at n = 10^6. Shorter
+rows, at most one tile of mix's sums, are built whole: at n = 100 the
+window arithmetic costs more than the entries it skips. Inside a window,
+tile rounding and the bound's slack still leave entries below the
+threshold (31% of those built for a 2048-point grid at n = 10^4), which
+skip exp.
 
-Inside a window, tile rounding and the bound's slack still leave entries
-whose log pmf is below -746 (31% of those built for a 2048-point grid at
-n = 10^4). exp is evaluated only where the log reaches a floor, and 0.0
-is written elsewhere. pmf_row and the fake side's turnout weights take
-the floor -746, which covers every entry exp can make non-zero: below it
-exp returns exactly 0.0, at over ten times the cost of an ordinary entry,
-so they keep subnormal entries, logs in [-745.13, -708.4], and every
-entry is bitwise what exp gives when it runs on all. mix takes the floor
-log(2^-1022) = -708.396..., below which exp's result is subnormal and
-costs over 100 times an ordinary entry (1.7% of the entries of that
-grid), and adds 0.0 for those entries instead. Such an entry times a
-gain g is below 2^-1022 |g|, and a term that small changes a float sum
-only where the sum is below 2^-968 |g| ~ 4e-292 |g| in magnitude, so a
-payoff could move only that close to 0: sums of O(1) gains cannot see it.
-
-mix works through its points in blocks of at most 2^16 pmf entries, in
-a workspace it allocates once per call, sized for the largest block the
-call builds: one float buffer takes a block's log pmf and then the
-block's products with every gain sequence, one takes the pmf, and a
-boolean one marks the entries exp runs on. Per block, one multiply forms
-the products of all sequences, one reduce sums every full tile of 1024
-counts and one more a partial last tile, and the tile sums are added in
-count order: the same sums, in the same order, as a loop over tiles and
-sequences. No array mix or pmf_row returns shares memory with the
+mix works through its points in blocks, as many points as 2^16 entries of
+whole rows hold (one from n = 2^15 on), each block over the tile-aligned
+union of its points' windows, in a workspace it allocates once per call,
+sized for the widest block: one float buffer takes a block's log pmf and
+then the block's products with every gain sequence, one takes the pmf,
+and a boolean one marks the entries exp runs on. Per block, one multiply
+forms the products of all sequences, one reduce sums every full tile of
+1024 counts and one more a partial last tile, and the tile sums are added
+in count order: the same sums, in the same order, as a loop over tiles
+and sequences. No array mix or pmf_row returns shares memory with the
 workspace.
 """
 
@@ -49,14 +48,12 @@ import numpy as np
 
 __all__ = ["require_probability", "pmf_row", "mix"]
 
-# pmf entries built at once (512 KB): a few grid points' rows at moderate
-# n, a piece of one row at large n, so no temporary grows with n or the grid
+# whole-row pmf entries a block of mix's points holds (512 KB), so no
+# temporary grows with the grid; _log_factorials works in blocks of it too
 _BLOCK_ENTRIES = 1 << 16
 _TILE = 1 << 10  # aligned counts that mix sums as one piece; see mix
-_TAIL = 746.0  # -log of the pmf mass left out past each end of a window
-_EXP_FLOOR = -_TAIL  # pmf entries with a log below it are 0.0, exp's value there
-# mix's floor: below it exp is subnormal, which no sum of mix's can see
-_NORMAL_FLOOR = math.log(sys.float_info.min)
+# pmf entries with a log below it read 0.0; it also sets the windows' bound
+_FLOOR = math.log(sys.float_info.min)
 _LOG0 = -sys.float_info.max  # log 0 in _pmf_block: finite, so 0 * log 0 is 0
 # the floating-point events the kernel raises by design: log 0, m * log 0
 # overflowing to -inf, and exp and the products of tiny entries underflowing
@@ -126,25 +123,26 @@ def _log_choose_row(n: int) -> np.ndarray:
     return row
 
 
-def _pmf_block(n: int, xs: np.ndarray, lo: int, hi: int, out, log, mask, floor) -> np.ndarray:
+def _pmf_block(n: int, xs: np.ndarray, lo: int, hi: int, out, log, mask) -> np.ndarray:
     # Binomial(n, x) pmf at m = lo..hi-1 for each x of a checked 1-d array,
     # written to out and returned, under its caller's np.errstate(**_BY_DESIGN);
     # log and mask are work arrays of out's shape. exp runs only on the
-    # entries whose log reaches floor, the others are 0.0: at _EXP_FLOOR
-    # that is exp's value, at _NORMAL_FLOOR it drops exp's subnormal results
+    # entries whose log reaches _FLOOR, the others are +0.0
     m = np.arange(lo, hi, dtype=np.float64)
     np.multiply(np.maximum(np.log(xs), _LOG0)[:, None], m, out=log)
     log += _log_choose_row(n)[lo:hi]
     log += np.multiply(np.maximum(np.log1p(-xs), _LOG0)[:, None], n - m, out=out)
     out.fill(0.0)
-    return np.exp(log, out=out, where=np.greater_equal(log, floor, out=mask))
+    return np.exp(log, out=out, where=np.greater_equal(log, _FLOOR, out=mask))
 
 
 def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # first and end (exclusive) count of each x's Bernstein window; floor
-    # keeps every m within t of nx, as the bounds are off by far less than 1
+    # first and end (exclusive) count of each x's Bernstein window for
+    # T = 1 - _FLOOR; flooring keeps every m within t of nx, as the bounds
+    # are off by far less than 1
+    tail = 1.0 - _FLOOR
     nx = n * xs
-    t = _TAIL / 3 + np.sqrt(_TAIL**2 / 9 + 2 * _TAIL * nx * (1.0 - xs))
+    t = tail / 3 + np.sqrt(tail**2 / 9 + 2 * tail * nx * (1.0 - xs))
     return np.maximum(nx - t, 0.0).astype(int), np.minimum(nx + t, n).astype(int) + 1
 
 
@@ -158,16 +156,17 @@ def _pmf_window(n: int, x: float) -> tuple[int, np.ndarray]:
         (lo,), (hi,) = _windows(n, xs)
     shape = (1, hi - lo)
     bufs = np.empty(shape), np.empty(shape), np.empty(shape, bool)
-    entries = _pmf_block(n, xs, lo, hi, *bufs, _EXP_FLOOR)
+    entries = _pmf_block(n, xs, lo, hi, *bufs)
     return lo, entries[0]
 
 
 def pmf_row(n: int, x: float) -> np.ndarray:
     """Binomial(n, x) pmf over m = 0..n as a read-only vector; n >= 0.
 
-    From n = 1024 on only the entries inside x's Bernstein window (see
-    the module docstring) are computed, and the row is those entries
-    written into zeros; the payoff functions read the window alone.
+    An entry below 2^-1022 reads 0.0 (see the module docstring). From
+    n = 1024 on only the entries inside x's Bernstein window are
+    computed, and the row is those entries written into zeros; the
+    payoff functions read the window alone.
     """
     _require_count(n, "n")
     lo, entries = _pmf_window(n, x)
@@ -198,11 +197,10 @@ def mix(gains, n: int, xs) -> np.ndarray:
     of counts. Each tile is summed on its own, row by row, and the tiles
     are added in count order; a tile outside a point's window adds 0.0, so
     a point's value does not depend on the other points in xs. Entries
-    below 2^-1022, which pmf_row keeps as exp gives them, add 0.0 too
-    (see the module docstring for why no sum can see them). A block's
-    products with all sequences are formed and its tiles summed in one
-    pass each, in a workspace allocated once per call (see the module
-    docstring).
+    below 2^-1022 read 0.0 and add 0.0 too, as in pmf_row (see the module
+    docstring for why no sum can see them). A block's products with all
+    sequences are formed and its tiles summed in one pass each, in a
+    workspace allocated once per call (see the module docstring).
 
     The kernel's log 0, its m * log 0 overflowing to -inf and the
     underflow of exp and of products with tiny entries are by design: mix
@@ -224,9 +222,9 @@ def mix(gains, n: int, xs) -> np.ndarray:
         ends = np.minimum(-(-np.maximum.reduceat(ends, starts) // _TILE) * _TILE, n + 1)
         # the counts in the union of the blocks' spans, then n for g[n]
         runs = []
-        width = 0  # the widest span, up to one pmf block
+        width = 0  # the widest span
         for first, end in sorted(zip(firsts.tolist(), ends.tolist())):
-            width = max(width, min(end - first, _BLOCK_ENTRIES))
+            width = max(width, end - first)
             if runs and first <= runs[-1][1]:
                 runs[-1][1] = max(runs[-1][1], end)
             else:
@@ -244,20 +242,15 @@ def mix(gains, n: int, xs) -> np.ndarray:
     for i, (first, end, col) in zip(starts, spans):
         pts = flat[i : i + step]
         rows = out[:, i : i + step]
-        for lo in range(first, end, _BLOCK_ENTRIES):
-            hi = min(lo + _BLOCK_ENTRIES, end)
-            npts, w = pts.size, hi - lo
-            block = _pmf_block(
-                n, pts, lo, hi, pmf[:npts, :w], work[0, :npts, :w], mask[:npts, :w], _NORMAL_FLOOR
-            )
-            gks = offsets[:, None, col + lo - first : col + hi - first]
-            prods = np.multiply(block, gks, out=work[:, :npts, :w])
-            full = w // _TILE * _TILE
-            if full:
-                tiles = np.add.reduce(prods[:, :, :full].reshape(seqs, npts, -1, _TILE), 3)
-                for sums in tiles.transpose(2, 0, 1):
-                    rows += sums
-            if full < w:
-                rows += np.add.reduce(prods[:, :, full:], 2)
+        npts, w = pts.size, end - first
+        block = _pmf_block(n, pts, first, end, pmf[:npts, :w], work[0, :npts, :w], mask[:npts, :w])
+        prods = np.multiply(block, offsets[:, None, col : col + w], out=work[:, :npts, :w])
+        full = w // _TILE * _TILE
+        if full:
+            tiles = np.add.reduce(prods[:, :, :full].reshape(seqs, npts, -1, _TILE), 3)
+            for sums in tiles.transpose(2, 0, 1):
+                rows += sums
+        if full < w:
+            rows += np.add.reduce(prods[:, :, full:], 2)
     out += g[:, -1:]
     return out.reshape((seqs,) + xs.shape)

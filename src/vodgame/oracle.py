@@ -97,13 +97,18 @@ def _chunk_sizes(trials: int) -> list[int]:
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
-def _simulate(draw, trials: int, seed: int) -> SimResult:
-    # draw(rng, size) returns the volunteer and defector payoff arrays of
-    # one chunk; every chunk is scored and merged in index order
+def _require_trials_and_seed(trials, seed) -> None:
+    # the one rule for a Monte Carlo run's settings, here and in the CLI
     _require_count(trials, "trials")
     _require_count(seed, "seed")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+
+
+def _simulate(draw, trials: int, seed: int) -> SimResult:
+    # draw(rng, size) returns the volunteer and defector payoff arrays of
+    # one chunk; every chunk is scored and merged in index order
+    _require_trials_and_seed(trials, seed)
     vol = _RunningMean()
     dfc = _RunningMean()
     for i, size in enumerate(_chunk_sizes(trials)):

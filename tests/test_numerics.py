@@ -24,6 +24,22 @@ from vodgame.numerics import (
 )
 
 
+def _bits(values):
+    # a float array's bit patterns, so that -0.0 and 0.0 differ
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+def _exp_on_every_entry(pmf_block):
+    # pmf_block with _FLOOR at -inf while it runs, so exp sees every entry
+    # it builds; the windows, which _FLOOR also sets, keep their bound
+    def run(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numerics, "_FLOOR", -np.inf)
+            return pmf_block(*args)
+
+    return run
+
+
 # ---------------------------------------------------------------- log m!
 
 
@@ -134,15 +150,19 @@ def test_pmf_row_matches_scalar_function():
 @pytest.mark.parametrize("n", [496, 497, 498, 1023, 1024, 10**4, 2 * 10**5 + 3, 10**6])
 def test_pmf_row_window_drops_only_exact_zeros(n):
     """From n = 1024 on pmf_row builds only the entries inside each x's
-    Bernstein window; every row is bitwise the whole-row formula, so
-    every entry left out is exactly 0.0."""
+    Bernstein window; every row is bitwise the whole-row formula wherever
+    that is at least 2^-1022 and +0.0 elsewhere, so the window leaves out
+    only entries that would read 0.0."""
     m = np.arange(n + 1.0)
     for x in (0.0, 1.0, 5e-324, 1e-9, 5e-6, 0.3, 0.5, 1.0 - 1e-7):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
             log_x, log_1mx = np.log([x]), np.log1p([-x])
             whole = np.exp((m * log_x + _log_choose_row(n)) + (n - m) * log_1mx)
         whole[np.isnan(whole)] = 1.0  # 0^0 = 1 at x = 0 or 1
-        assert np.array_equal(pmf_row(n, x), whole), x
+        row = pmf_row(n, x)
+        normal = whole >= np.finfo(float).tiny
+        assert np.array_equal(row[normal], whole[normal]), x
+        assert not _bits(row[~normal]).any(), x  # +0.0, not -0.0
 
 
 def test_pmf_row_is_read_only():
@@ -194,13 +214,14 @@ def test_mix_matches_sums_over_whole_pmf_rows(n, points):
             assert abs(got[k, j] - (g[-1] + math.fsum(row[nz] * (g[nz] - g[-1])))) <= 1e-13
 
 
-@pytest.mark.parametrize("n", [99, 1023, 10**4, 2 * 10**5 + 3, 10**6])
+@pytest.mark.parametrize("n", [99, 1023, 10**4, 2 * 10**5 + 3, 10**6, 4 * 10**6 + 1])
 def test_mix_adds_tile_sums_in_count_order(n):
     """mix sums every aligned tile of 1024 counts on its own and adds the
     tile sums in count order, for every sequence alike: exactly the loop
-    below over whole pmf rows, also for windows of more than 8 tiles."""
+    below over whole pmf rows, also for windows of more than 8 tiles and,
+    at n = 4*10^6 + 1 and x = 0.5, for one of more than 2^16 counts."""
     gains = np.random.default_rng(n).normal(size=(2, n + 1))
-    xs = np.array([0.0, 3e-5, 0.31, 0.5, 0.97, 1.0])
+    xs = np.array([0.5]) if n > 10**6 else np.array([0.0, 3e-5, 0.31, 0.5, 0.97, 1.0])
     got = mix(lambda m: gains[:, m], n, xs)
     offsets = gains - gains[:, -1:]
     tiles = [slice(t, t + numerics._TILE) for t in range(0, n + 1, numerics._TILE)]
@@ -265,18 +286,12 @@ def test_mix_reads_gains_once_inside_its_windows():
     assert np.array_equal(m, np.arange(101))
 
 
-def _bits(values):
-    # a float array's bit patterns, so that -0.0 and 0.0 differ
-    return np.ascontiguousarray(values).view(np.int64)
-
-
 @pytest.mark.parametrize("n", [7, 99, 1023, 10**4, 2 * 10**5 + 3, 10**6])
 def test_skipping_exp_below_the_floor_changes_no_bit(n, monkeypatch):
-    """exp runs only on pmf entries whose log reaches a floor: _EXP_FLOOR
-    for pmf_row and the turnout weights, _NORMAL_FLOOR for mix. With both
-    floors at -inf every entry goes through exp, and pmf_row and both
-    games' pairs and nets keep every bit, on arrays shuffled across pmf
-    blocks."""
+    """exp runs only on pmf entries whose log reaches _FLOOR, in mix and
+    in the turnout weights alike. With _FLOOR at -inf in _pmf_block every
+    entry it builds goes through exp, and both games' pairs and nets keep
+    every bit, on arrays shuffled across pmf blocks."""
     from vodgame.fake import FakeGameParams, expected_fake_payoffs, expected_net_payoff_fake
     from vodgame.truth import TruthGameParams, net_payoff_regular, payoff_pair_regular
 
@@ -292,11 +307,10 @@ def test_skipping_exp_below_the_floor_changes_no_bit(n, monkeypatch):
         payoffs = [v for p in pairs for v in (p.volunteer_avg, p.defector_avg, p.net)]
         payoffs += [net_payoff_regular(xs, truth)]
         payoffs += [expected_net_payoff_fake(xs, p, n, fake) for p in values]
-        return [pmf_row(n, x) for x in values] + payoffs
+        return payoffs
 
     skipped = evaluate()
-    monkeypatch.setattr(numerics, "_EXP_FLOOR", -np.inf)
-    monkeypatch.setattr(numerics, "_NORMAL_FLOOR", -np.inf)
+    monkeypatch.setattr(numerics, "_pmf_block", _exp_on_every_entry(numerics._pmf_block))
     for got, want in zip(evaluate(), skipped, strict=True):
         assert np.array_equal(_bits(got), _bits(want))
 
@@ -310,11 +324,11 @@ def test_mix_drops_only_subnormal_pmf_entries(monkeypatch):
     real = numerics._pmf_block
     dropped = []
 
-    def spy(n, xs, lo, hi, out, log, mask, floor):
-        block = real(n, xs, lo, hi, out, log, mask, floor)
+    def spy(n, xs, lo, hi, out, log, mask):
+        block = real(n, xs, lo, hi, out, log, mask)
         shape = block.shape
         bufs = np.empty(shape), np.empty(shape), np.empty(shape, bool)
-        every = real(n, xs, lo, hi, *bufs, -np.inf)
+        every = _exp_on_every_entry(real)(n, xs, lo, hi, *bufs)
         normal = every >= np.finfo(float).tiny
         assert np.array_equal(_bits(block[normal]), _bits(every[normal]))
         assert not _bits(block[~normal]).any()  # +0.0, not -0.0
@@ -358,11 +372,12 @@ def test_kernel_ignores_its_own_underflow_when_numpy_raises(n):
 
 def test_fake_gains_underflow_inside_the_kernel():
     """At n_regular = 1030 and p* = 0.5 the turnout weight P[M = 0] =
-    2^-1030 is subnormal, and the fake side's gains scale it; mix builds
-    those gains under its own np.errstate, so numpy raising stays quiet."""
+    2^-1030 is below 2^-1022 and reads 0.0, and the fake side's gains
+    scale the tiny weights next to it; mix builds those gains under its
+    own np.errstate, so numpy raising stays quiet."""
     from vodgame.fake import FakeGameParams, expected_fake_payoffs
 
-    assert 0.0 < pmf_row(1030, 0.5)[0] < np.finfo(float).tiny
+    assert _bits(pmf_row(1030, 0.5))[0] == 0  # +0.0
     xs = np.array([0.0, 0.5, 1.0])
     plain = expected_fake_payoffs(xs, 0.5, 1030, FakeGameParams())
     with np.errstate(all="raise"):
