@@ -3,7 +3,7 @@
 All outputs are deterministic. CSV floats carry 17 significant digits
 so every value round-trips bit for bit; files are UTF-8 with LF line
 endings. Exit codes: 0 success, 1 failed self-check, 2 invalid
-parameters, 3 unwritable output.
+parameters the run reads, 3 unwritable output.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .equilibrium import (
     stable_equilibrium,
 )
 from .fake import FakeGameParams, TailMode, expected_fake_payoffs, expected_net_payoff_fake
-from .numerics import require_probability
-from .oracle import _require_trials_and_seed, simulate_fake, simulate_truth
+from .oracle import simulate_fake, simulate_truth
 from .truth import TruthGameParams, net_payoff_regular, payoff_pair_regular
 
 CURVE_HEADER = "x,volunteer_avg,defector_avg,net"
@@ -42,13 +41,13 @@ class RunConfig:
     """One resolved invocation; flag > config file > these defaults."""
 
     model: str = "truth"
-    n: int = 100
-    f: int = 8
-    k: int = 6
-    c: float = 0.5
-    alpha: float = 0.9
-    cf: float = 0.1
-    sigma: float = 5.0
+    n: int = TruthGameParams.n_regular
+    f: int = FakeGameParams.n_fake
+    k: int = TruthGameParams.threshold
+    c: float = TruthGameParams.cost_volunteer
+    alpha: float = TruthGameParams.cost_failure
+    cf: float = FakeGameParams.cost_volunteer_fake
+    sigma: float = TruthGameParams.shared_reward
     pstar: float | None = None
     x: float = 0.09
     xf: float = 0.5
@@ -58,10 +57,10 @@ class RunConfig:
     grid: int = 2048
     tol: float = 1e-10
     tail: str = "full"
-    strict_dominance: bool = False
+    strict_dominance: bool = FakeGameParams.strict_dominance
     trials: int = 1_000_000
     seed: int = 0
-    allow_nonstandard: bool = False
+    allow_nonstandard: bool = TruthGameParams.allow_nonstandard
 
 
 # each field's kind from its annotation; pstar's float | None is a float
@@ -124,8 +123,9 @@ _COMMAND_READS = {
 
 
 def reads(command: str, cfg: RunConfig) -> set:
-    """The settings a run of command on cfg reads: RunConfig fields and
-    "out". A sweep's cfg already holds its swept field."""
+    """The settings a run of command on cfg reads, and so the only ones
+    it checks: RunConfig fields and "out". A sweep's cfg already holds
+    its swept field."""
     if command == "reproduce":
         return {"grid", "tol", "out"}  # each figure fixes its model settings
     used = _GAME_READS[cfg.model] | _COMMAND_READS[command]
@@ -159,6 +159,9 @@ def _load_config_file(path: str) -> dict:
         what, accepts = _CONFIG_VALUE[_KIND[key]]
         if not accepts(value):
             raise ValueError(f"config key {key!r} must be {what}")
+        choices = _CHOICES.get(key)
+        if choices and value not in choices:  # as argparse checks a flag's
+            raise ValueError(f"config key {key!r} must be {' or '.join(map(repr, choices))}")
         out[key] = _KIND[key](value)
     return out
 
@@ -166,31 +169,13 @@ def _load_config_file(path: str) -> dict:
 def _build_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
     """The run's RunConfig, and where its settings came from:
     {"flag": {field: value}, "config": {field: value}}; a flag beats
-    the config file, which beats RunConfig's defaults."""
+    the config file, which beats RunConfig's defaults. The library call
+    that reads a setting checks it (see reads)."""
     given = {
         "flag": {name: getattr(args, name) for name in _KIND if getattr(args, name) is not None},
         "config": _load_config_file(args.config) if args.config else {},
     }
-    cfg = replace(RunConfig(), **{**given["config"], **given["flag"]})
-    _validate_config(cfg)
-    return cfg, given
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    for name, choices in _CHOICES.items():
-        if getattr(cfg, name) not in choices:
-            raise ValueError(f"{name} must be {' or '.join(map(repr, choices))}")
-    if cfg.points < 2:
-        raise ValueError("points must be >= 2")
-    if cfg.grid < 2:
-        raise ValueError("grid must be >= 2")
-    if not 0.0 < cfg.tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    _require_trials_and_seed(cfg.trials, cfg.seed)
-    if not cfg.xmin < cfg.xmax:
-        raise ValueError("need xmin < xmax")
-    require_probability(cfg.xmin, "xmin")
-    require_probability(cfg.xmax, "xmax")
+    return replace(RunConfig(), **{**given["config"], **given["flag"]}), given
 
 
 def _truth_params(cfg: RunConfig) -> TruthGameParams:
@@ -224,9 +209,8 @@ def _model_fns(cfg: RunConfig) -> _Model:
         )
     params = FakeGameParams(n_fake=cfg.f, cost_volunteer_fake=cfg.cf, cost_failure=cfg.alpha,
                             strict_dominance=cfg.strict_dominance)
-    if cfg.pstar is not None:
-        p_star = require_probability(cfg.pstar, "pstar")
-    else:
+    p_star = cfg.pstar
+    if p_star is None:
         p_star = stable_equilibrium(_truth_params(cfg), cfg.grid, cfg.tol)
         if p_star is None:
             raise ValueError("the validation game has no stable equilibrium to derive "

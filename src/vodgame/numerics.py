@@ -149,8 +149,8 @@ def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @np.errstate(**_BY_DESIGN)
 def _pmf_window(n: int, x: float) -> tuple[int, np.ndarray]:
     # first count lo and the Binomial(n, x) pmf entries from lo on inside
-    # x's Bernstein window; below one tile of counts the whole row
-    xs = np.array([require_probability(x, "x")])
+    # x's Bernstein window, x checked by the caller; below a tile, the whole row
+    xs = np.array([x])
     lo, hi = 0, n + 1
     if n >= _TILE:
         (lo,), (hi,) = _windows(n, xs)
@@ -169,7 +169,7 @@ def pmf_row(n: int, x: float) -> np.ndarray:
     payoff functions read the window alone.
     """
     _require_count(n, "n")
-    lo, entries = _pmf_window(n, x)
+    lo, entries = _pmf_window(n, require_probability(x, "x"))
     row = np.zeros(n + 1)
     row[lo : lo + entries.size] = entries
     row.setflags(write=False)

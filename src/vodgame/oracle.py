@@ -97,18 +97,13 @@ def _chunk_sizes(trials: int) -> list[int]:
     return [CHUNK_TRIALS] * full + ([rest] if rest else [])
 
 
-def _require_trials_and_seed(trials, seed) -> None:
-    # the one rule for a Monte Carlo run's settings, here and in the CLI
+def _simulate(draw, trials: int, seed: int) -> SimResult:
+    # draw(rng, size) returns the volunteer and defector payoff arrays of
+    # one chunk; every chunk is scored and merged in index order
     _require_count(trials, "trials")
     _require_count(seed, "seed")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-
-
-def _simulate(draw, trials: int, seed: int) -> SimResult:
-    # draw(rng, size) returns the volunteer and defector payoff arrays of
-    # one chunk; every chunk is scored and merged in index order
-    _require_trials_and_seed(trials, seed)
     vol = _RunningMean()
     dfc = _RunningMean()
     for i, size in enumerate(_chunk_sizes(trials)):
@@ -204,8 +199,6 @@ def _enumerate(peers: int, x: float, payoffs) -> PayoffPair:
     # weight every profile of `peers` co-players, as the bit pattern
     # 0 .. 2^peers - 1 whose popcount v is its volunteer count, by
     # x^v (1-x)^(peers-v) and average payoffs(v) over them
-    if peers > 24:
-        raise ValueError("profile enumeration is limited to 24 co-players")
     v = np.zeros(1, dtype=np.int64)
     if peers:
         patterns = np.arange(2**peers, dtype="<u4")

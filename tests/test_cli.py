@@ -380,6 +380,12 @@ _OTHER_VALUES = {
     "grid": "65", "tol": "1e-9", "tail": "truncated", "strict_dominance": None,
     "trials": "10", "seed": "1", "allow_nonstandard": None,
 }
+# and one that a run reading the setting rejects, where the flag can take one
+_INVALID_VALUES = dict(
+    _OTHER_VALUES, n="1", f="0", k="0", c="-0.4", alpha="-0.8", cf="-0.2", sigma="-6",
+    pstar="1.5", x="1.5", xf="1.5", xmin="0.9", xmax="0.1", points="1", grid="1", tol="0",
+    trials="0", seed="-1",
+)
 _READS_BASES = {
     "curve": (),
     "equilibria": (),
@@ -395,7 +401,9 @@ _READS_BASES = {
 def test_settings_outside_reads_change_no_output(tmp_path, capsys, command, model, pstar):
     """Every setting outside reads(command, cfg), all given at once as
     flags, leaves the exit code, stdout and the files written as a plain
-    run left them, and the warning names each of them."""
+    run left them, and the warning names each of them: with valid values,
+    and with values that a run reading them rejects, as a run checks only
+    what it reads."""
     base = [command, *_READS_BASES[command], "--model", model,
             "--grid", "64", "--points", "5", "--trials", "200"]
     base += [] if pstar is None else ["--pstar", pstar]
@@ -406,12 +414,14 @@ def test_settings_outside_reads_change_no_output(tmp_path, capsys, command, mode
     outside = [name for name in settings if name not in reads(command, cfg)]
     if command == "sweep":
         outside.append("alpha")  # --values decides it
-    values = dict(_OTHER_VALUES, model="truth" if model == "fake" else "fake",
-                  out=str(tmp_path / "ignored.json"))
     flags = ["--" + name.replace("_", "-") for name in outside]
-    extra = [text for flag, name in zip(flags, outside) for text in (flag, values[name]) if text]
     runs = {}
-    for run, argv in (("plain", base), ("outside", base + extra)):
+    for run, table in (("plain", None), ("other", _OTHER_VALUES), ("invalid", _INVALID_VALUES)):
+        values = dict(table or {}, model="truth" if model == "fake" else "fake",
+                      out=str(tmp_path / "ignored.json"))
+        argv = base + ([] if table is None else
+                       [text for flag, name in zip(flags, outside) for text in (flag, values[name])
+                        if text])
         folder = tmp_path / run
         folder.mkdir()
         if "out" not in outside:
@@ -420,9 +430,10 @@ def test_settings_outside_reads_change_no_output(tmp_path, capsys, command, mode
         captured = capsys.readouterr()
         files = {path.name: path.read_bytes() for path in folder.iterdir()}
         runs[run] = (code, captured.out, files), set(re.findall(r"--[a-z-]+", captured.err))
-    assert runs["outside"][0] == runs["plain"][0]
     assert runs["plain"][0][0] == 0
-    assert set(flags) <= runs["outside"][1]
+    for run in ("other", "invalid"):
+        assert runs[run][0] == runs["plain"][0], run
+        assert set(flags) <= runs[run][1], run
     assert not (tmp_path / "ignored.json").exists()
 
 
@@ -606,6 +617,8 @@ CONFIG_FILES = [
     ('{"trials": 1.5}', "config key 'trials' must be an integer"),
     ('{"sigma": true}', "config key 'sigma' must be a number"),
     ('{"pstar": null}', "config key 'pstar' must be a number"),
+    ('{"model": "fiction"}', "config key 'model' must be 'truth' or 'fake'"),
+    ('{"tail": "half"}', "config key 'tail' must be 'truncated' or 'full'"),
     ('{"trials": 5.0}', None),
 ]
 
@@ -701,7 +714,7 @@ def test_config_file_missing(tmp_path):
     [
         ("curve", "--k", "200"),            # threshold above population
         ("curve", "--c", "0.9"),            # volunteering dearer than failing
-        ("curve", "--tol", "0"),            # nonpositive tolerance
+        ("equilibria", "--tol", "0"),       # nonpositive tolerance
         ("curve", "--points", "1"),
         ("curve", "--xmin", "0.5", "--xmax", "0.2"),
         ("equilibria", "--model", "fake", "--pstar", "1.5"),
@@ -711,10 +724,15 @@ def test_config_file_missing(tmp_path):
         ("equilibria", "--tol", "nan"),     # non-finite tolerance
         ("equilibria", "--tol", "inf"),
         ("simulate", "--seed", "-1"),
+        ("equilibria", "--grid", "1"),
+        ("curve", "--xmin", "-0.1"),
+        ("reproduce", "fig1", "--tol", "0"),
     ],
 )
-def test_invalid_parameters_exit_two(argv, tmp_path):
+def test_invalid_parameters_exit_two(argv, tmp_path, capsys):
+    """A run rejects each invalid setting it reads, on an error line."""
     assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
 
 def test_negative_seed_error_names_seed(tmp_path, capsys):

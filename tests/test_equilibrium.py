@@ -1,5 +1,7 @@
 """Root finding and classification on the game's net-payoff curves."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,10 @@ def test_pure_synthetic_curves():
     assert always_neg.endpoint_signs == (-1, -1)
     always_pos = find_equilibria(lambda x: 0.5 + x, grid_points=64)
     assert always_pos.regime == "dominant_volunteer"
+    # a curve of one sign has no equilibria
+    assert find_equilibria(lambda x: 1.0 + x, grid_points=32).equilibria == ()
+    # a constant callable may return one scalar for the whole array
+    assert find_equilibria(lambda x: -0.5, grid_points=32).equilibria == ()
 
 
 def test_boundary_zero_is_degenerate_not_regime_changing():
@@ -96,8 +102,124 @@ def test_flat_zero_slope_root_is_degenerate():
 
 
 def test_grid_too_small_rejected():
+    for grid_points in (1, 0):
+        with pytest.raises(ValueError, match="grid_points must be >= 2"):
+            find_equilibria(lambda x: x - 0.5, grid_points=grid_points)
+
+
+def roots(f, **kwargs):
+    return [e.x for e in find_equilibria(f, **kwargs).equilibria]
+
+
+def test_linear_root_is_unstable_and_within_its_grid_cell():
+    report = find_equilibria(lambda x: x - 0.3, grid_points=64)
+    (e,) = report.equilibria
+    assert 18 / 63 <= e.x <= 19 / 63
+    assert e.x == pytest.approx(0.3, abs=1e-10)
+    assert e.stability == UNSTABLE
+
+
+def test_root_on_a_grid_point_is_taken_as_it_stands():
+    # grid {0, 0.25, 0.5, 0.75, 1} hits the root of x - 0.25 exactly
+    assert roots(lambda x: x - 0.25, grid_points=5) == [0.25]
+
+
+def test_two_roots_ascending_and_merged_within_tol():
+    f = lambda x: (x - 0.2) * (x - 0.7)  # noqa: E731
+    found = roots(f, grid_points=256)
+    assert found == pytest.approx([0.2, 0.7], abs=1e-10)
+    assert found[0] < found[1]
+    # roots closer together than tol are reported once, at the lower one
+    (merged,) = roots(f, grid_points=256, tol=0.6)
+    assert merged == pytest.approx(0.2, abs=1 / 255)
+
+
+def test_nan_from_net_fn_rejected():
     with pytest.raises(ValueError):
-        find_equilibria(lambda x: x - 0.5, grid_points=1)
+        find_equilibria(lambda x: math.nan, grid_points=16)
+    # finite on the grid, NaN at the first bisection midpoint
+    f = lambda x: x - 0.3 if x.size == 16 else np.full(x.shape, math.nan)  # noqa: E731
+    with pytest.raises(ValueError):
+        find_equilibria(f, grid_points=16)
+
+
+# ---------------------------------------------------------------- bisection
+
+
+def test_bisection_reaches_tol():
+    (r,) = roots(lambda x: x - 1.0 / 3.0, grid_points=128, tol=1e-12)
+    assert r == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+def test_root_matches_classic_dilemma_closed_form():
+    # alpha*(1-x)^(n-1) - c with n=100, c=0.5, alpha=0.9
+    f = lambda x: 0.9 * (1.0 - x) ** 99 - 0.5  # noqa: E731
+    (r,) = roots(f, grid_points=2048, tol=1e-12)
+    assert r == pytest.approx(1.0 - (0.5 / 0.9) ** (1.0 / 99.0), abs=1e-10)
+
+
+def test_exact_zero_at_a_midpoint_is_the_root():
+    # grid {0, 0.25, 0.5, 0.75, 1}: the first midpoint of [0.25, 0.5] is the root
+    assert roots(lambda x: x - 0.375, grid_points=5) == [0.375]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: x**3 - 0.2,
+        lambda x: np.cos(3.0 * x) - 0.4,
+        lambda x: 0.9 * (1.0 - x) ** 99 - 0.5,
+    ],
+)
+def test_root_lies_in_its_grid_cell_below_the_ends_residuals(f):
+    """Each root sits between its neighbouring grid points with |f| no
+    worse than at either of them."""
+    xs = np.linspace(0.0, 1.0, 512)
+    found = roots(f, grid_points=512, tol=1e-10)
+    assert found
+    for r in found:
+        i = int(np.searchsorted(xs, r))
+        lo, hi = xs[i - 1], xs[i]
+        assert lo <= r <= hi
+        f_r, f_lo, f_hi = np.abs(f(np.array([r, lo, hi])))
+        assert f_r <= f_lo
+        assert f_r <= f_hi
+
+
+def test_nonpositive_or_nonfinite_tol_rejected():
+    for tol in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            find_equilibria(lambda x: 2.0 * x - 1.0, tol=tol)
+
+
+# ---------------------------------------------------------------- slopes
+
+
+def test_slope_of_a_linear_net():
+    (e,) = find_equilibria(lambda x: 3.0 * x - 1.5).equilibria
+    assert e.slope == pytest.approx(3.0, abs=1e-6)
+
+
+def test_zero_net_has_a_degenerate_root_at_every_grid_point():
+    # an identically zero curve: every grid point is a root with slope 0
+    report = find_equilibria(lambda x: 0.0, grid_points=5)
+    assert [e.x for e in report.equilibria] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert all(e.slope == 0.0 for e in report.equilibria)
+    assert all(e.stability == DEGENERATE for e in report.equilibria)
+
+
+def test_slope_is_one_sided_at_domain_ends():
+    # each root lies within the 1e-6 difference step of 0 or 1
+    for shift in (0.0, 1e-7, 3.0 - 1e-7, 3.0):
+        (e,) = find_equilibria(lambda x: 3.0 * x - shift).equilibria
+        assert min(e.x, 1.0 - e.x) < 1e-6
+        assert e.slope == pytest.approx(3.0, abs=1e-6)
+
+
+def test_larger_baseline_root_has_negative_slope():
+    report = find_equilibria(truth_net(BASELINE))
+    assert len(report.equilibria) == 2
+    assert report.equilibria[-1].slope < 0.0
 
 
 def test_net_fn_is_called_on_arrays_only():
