@@ -1,4 +1,5 @@
-"""Tests for the binomial kernels: pmf rows, mixtures and probability checks.
+"""Tests for the binomial kernels: pmf rows, mixtures and probability checks,
+plus find_equilibria's grid scan on inputs with nothing to bracket.
 
 The pmf checks are anchored to exact rational arithmetic (exact_binomial),
 so nothing here trusts lgamma to check lgamma; the log-factorial series
@@ -13,6 +14,7 @@ import pytest
 from exact_binomial import exact_pmf
 
 from vodgame import numerics
+from vodgame.equilibrium import find_equilibria
 from vodgame.numerics import (
     _log_choose_row,
     _log_factorials,
@@ -445,3 +447,21 @@ def test_require_probability_accepts_unit_interval():
 def test_require_probability_rejects(bad):
     with pytest.raises(ValueError):
         require_probability(bad)
+
+
+# ------------------------------------------------------- degenerate scan inputs
+#
+# find_equilibria's grid scan on inputs with nothing to bracket; the rest of
+# its root-finding tests are in test_equilibrium.py.
+
+
+def test_find_brackets_constant_sign_yields_none():
+    assert find_equilibria(lambda x: 1.0 + x, grid_points=32).equilibria == ()
+    # a constant callable may return one scalar for the whole array
+    assert find_equilibria(lambda x: -0.5, grid_points=32).equilibria == ()
+
+
+def test_find_brackets_rejects_tiny_grid():
+    for grid_points in (1, 0):
+        with pytest.raises(ValueError):
+            find_equilibria(lambda x: x, grid_points=grid_points)
