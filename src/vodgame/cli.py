@@ -232,10 +232,8 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _csv(header: str, rows) -> str:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: str, lines) -> str:
+    return "\n".join((header, *lines)) + "\n"
 
 
 # ---------------------------------------------------------------- commands
@@ -243,10 +241,8 @@ def _csv(header: str, rows) -> str:
 
 def cmd_curve(cfg: RunConfig, out: str | None) -> int:
     sample = sample_curve(_model_fns(cfg).pair, (cfg.xmin, cfg.xmax), cfg.points)
-    rows = [
-        (_fmt(x), _fmt(v), _fmt(d), _fmt(nv))
-        for x, v, d, nv in zip(sample.xs, sample.volunteer_avg, sample.defector_avg, sample.net)
-    ]
+    columns = (sample.xs, sample.volunteer_avg, sample.defector_avg, sample.net)
+    rows = ["%.17g,%.17g,%.17g,%.17g" % row for row in zip(*columns)]  # _fmt, one row at a time
     _write_text(out, _csv(CURVE_HEADER, rows))
     return 0
 
@@ -287,10 +283,10 @@ def _sweep_csvs(swept_name: str, results) -> tuple[str, str]:
     summary_rows = []
     for value, sample, report in results:
         value_str = _fmt(float(value))
-        for x, nv in zip(sample.xs, sample.net):
-            long_rows.append((swept_name, value_str, _fmt(x), _fmt(nv)))
+        row = f"{swept_name},{value_str},%.17g,%.17g"  # a field name and a number: no %
+        long_rows += [row % pair for pair in zip(sample.xs, sample.net)]
         roots = ("" if x is None else _fmt(x) for x in _roots_summary(report))
-        summary_rows.append((value_str, report.regime, *roots))
+        summary_rows.append(",".join((value_str, report.regime, *roots)))
     return _csv(SWEEP_HEADER, long_rows), _csv(SUMMARY_HEADER, summary_rows)
 
 

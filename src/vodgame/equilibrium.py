@@ -27,6 +27,8 @@ STABLE = "stable"
 UNSTABLE = "unstable"
 DEGENERATE = "degenerate"
 
+_SECTIONS = 16  # a refinement call cuts each open bracket into this many parts
+_CUTS = np.arange(_SECTIONS + 1) / _SECTIONS
 _SLOPE_STEP = 1e-6  # half-width of the slope's central difference
 _SLOPE_EPSILON = 1e-9  # slopes within this of 0 classify as degenerate
 
@@ -80,14 +82,18 @@ def find_equilibria(
     grid_points: int = 2048,
     tol: float = 1e-10,
 ) -> RegimeReport:
-    """Scan net_fn over [0, 1], bisect every sign change to tol, and
-    classify each zero by the local slope.
+    """Scan net_fn over [0, 1], refine every sign change to tol by a
+    16-way section, and classify each zero by the local slope.
 
     net_fn is called on float arrays only and returns one value per
     entry (or one value for all): once on the uniform grid, once per
-    bisection step on the midpoints of every open bracket, and once for
-    all slopes. Grid values and midpoints that are exactly zero are
-    roots as they stand. Bisection stops at width tol or at float spacing.
+    section step on the 15 inner cut points lo + (hi - lo) * j / 16 of
+    every open bracket, and once for all slopes; 8 calls at the
+    defaults. Each bracket keeps its first sixteenth whose right end
+    has left the left end's sign; a right end that is exactly zero
+    closes the bracket on itself. Grid values that are exactly zero are
+    roots as they stand. Refinement stops at width tol or at float
+    spacing.
 
     The slope is a central difference at r +- 1e-6, cut at 0 and 1.
     Below -1e-9 it means stable (deviations die out), above +1e-9
@@ -103,18 +109,25 @@ def find_equilibria(
     sign = np.sign(ys)
     left = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
     lo, hi = xs[left], xs[left + 1]
-    lo_negative = ys[left] < 0.0
+    lo_sign = sign[left]
     while True:
-        mid = 0.5 * (lo + hi)
+        # the midpoint, cut 8 bit for bit: a float lies strictly inside iff it
+        # does, and then every step shrinks its bracket
+        mid = lo + (hi - lo) * 0.5
         live = np.flatnonzero((hi - lo > tol) & (lo < mid) & (mid < hi))
         if live.size == 0:
             break
-        mid = mid[live]
-        f_mid = _values(net_fn, mid)
-        up = (f_mid < 0.0) == lo_negative[live]
-        hit = f_mid == 0.0  # an exact zero closes its bracket on itself
-        lo[live] = np.where(up | hit, mid, lo[live])
-        hi[live] = np.where(up & ~hit, hi[live], mid)
+        a, b, s = lo[live], hi[live], lo_sign[live]
+        cuts = a[:, None] + (b - a)[:, None] * _CUTS
+        cuts[:, -1] = b
+        side = np.empty((live.size, _SECTIONS))
+        side[:, :-1] = np.sign(_values(net_fn, cuts[:, 1:-1].ravel())).reshape(live.size, -1)
+        side[:, -1] = -s  # hi is on the other side
+        j = (side != s[:, None]).argmax(axis=1)  # first right end off lo's side
+        rows = np.arange(live.size)
+        right = cuts[rows, j + 1]
+        lo[live] = np.where(side[rows, j] == 0.0, right, cuts[rows, j])
+        hi[live] = right
     found = np.sort(np.concatenate((xs[sign == 0.0], 0.5 * (lo + hi))))
     roots: list[float] = []
     for r in found.tolist():

@@ -130,6 +130,7 @@ def expected_fake_payoffs(
     their stable equilibrium. See TailMode for the averaging range.
     Under FULL, p_star = 1.0 and n_regular = r give a known turnout r >= 1.
     """
+    x_f = require_probability(x_f, "x_f")
     weights = _turnout(p_star, n_regular, params, tail)
     v, d = mix(_gains(weights, params), params.n_fake - 1, x_f)
     return PayoffPair(v, d, v - d)
@@ -149,5 +150,6 @@ def expected_net_payoff_fake(
     defector's, so it agrees with expected_fake_payoffs(...).net to
     rounding, not bit for bit.
     """
+    x_f = require_probability(x_f, "x_f")
     weights = _turnout(p_star, n_regular, params, tail)
     return mix(_net_gains(weights, params), params.n_fake - 1, x_f)[0]

@@ -743,6 +743,12 @@ def test_negative_seed_error_names_seed(tmp_path, capsys):
         assert "seed" in capsys.readouterr().err
 
 
+def test_fake_simulate_error_names_xf(capsys):
+    argv = ("simulate", "--model", "fake", "--pstar", "0.06", "--xf", "1.5", "--trials", "100")
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: x_f must lie in [0, 1], got 1.5"
+
+
 def test_unwritable_output_exits_three(tmp_path):
     target = tmp_path / "no_such_dir" / "curve.csv"
     assert run_cli("curve", "--out", str(target)) == 3

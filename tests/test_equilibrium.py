@@ -132,13 +132,13 @@ def test_two_roots_ascending_and_merged_within_tol():
 def test_nan_from_net_fn_rejected():
     with pytest.raises(ValueError):
         find_equilibria(lambda x: math.nan, grid_points=16)
-    # finite on the grid, NaN at the first bisection midpoint
+    # finite on the grid, NaN at the cut points of the first section step
     f = lambda x: x - 0.3 if x.size == 16 else np.full(x.shape, math.nan)  # noqa: E731
     with pytest.raises(ValueError):
         find_equilibria(f, grid_points=16)
 
 
-# ---------------------------------------------------------------- bisection
+# ---------------------------------------------------------------- section
 
 
 def test_bisection_reaches_tol():
@@ -156,6 +156,20 @@ def test_root_matches_classic_dilemma_closed_form():
 def test_exact_zero_at_a_midpoint_is_the_root():
     # grid {0, 0.25, 0.5, 0.75, 1}: the first midpoint of [0.25, 0.5] is the root
     assert roots(lambda x: x - 0.375, grid_points=5) == [0.375]
+
+
+def test_tiny_tol_stops_at_float_spacing():
+    (r,) = roots(lambda x: x - 1.0 / 3.0, grid_points=128, tol=1e-300)
+    assert abs(r - 1.0 / 3.0) <= np.spacing(1.0 / 3.0)
+
+
+def test_three_roots_in_one_grid_cell_give_one_root_inside_it():
+    # grid {0, 0.25, 0.5, 0.75, 1}: all three roots lie in [0.25, 0.5]
+    zeros = (0.3, 0.3001, 0.3002)
+    f = lambda x: (x - zeros[0]) * (x - zeros[1]) * (x - zeros[2])  # noqa: E731
+    (r,) = roots(f, grid_points=5)
+    assert 0.25 < r < 0.5
+    assert min(abs(r - z) for z in zeros) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -229,9 +243,9 @@ def test_net_fn_is_called_on_arrays_only():
     report = find_equilibria(net)
     assert report == find_equilibria(truth_net(BASELINE))
     assert [e.stability for e in report.equilibria] == [UNSTABLE, STABLE]
-    # one grid call, one call per bisection step for both roots, one for the slopes
+    # one grid call, one call per section step for both roots, one for the slopes
     assert sizes[0] == 2048 and sizes[-1] == 4
-    assert len(sizes) <= 30
+    assert len(sizes) <= 9
 
 
 # ---------------------------------------------------------------- stable root

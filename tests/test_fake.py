@@ -73,6 +73,13 @@ def test_rejects_n_regular_that_is_not_an_integer(fn, value):
         fn(0.5, 0.09, value, BASELINE)
 
 
+@pytest.mark.parametrize("fn", [expected_fake_payoffs, expected_net_payoff_fake])
+@pytest.mark.parametrize("value", [1.5, -0.1, math.nan, np.array([0.5, 1.5])])
+def test_rejects_x_f_outside_the_unit_interval_under_its_own_name(fn, value):
+    with pytest.raises(ValueError, match=r"^x_f must lie in \[0, 1\]"):
+        fn(value, 0.09, 100, BASELINE)
+
+
 @pytest.mark.parametrize("value", [3.0, 3.5, True])
 def test_enumerate_fake_exact_rejects_turnout_that_is_not_an_integer(value):
     with pytest.raises(ValueError, match="regular_volunteers must be an integer"):
