@@ -11,10 +11,9 @@ Run: python3 demos/04_validation_oracles.py
 from vodgame import (
     FakeGameParams,
     TruthGameParams,
-    avg_payoff_defector,
-    avg_payoff_volunteer,
     enumerate_truth_exact,
     expected_fake_payoffs,
+    payoff_pair_regular,
     simulate_fake,
     simulate_truth,
 )
@@ -24,11 +23,10 @@ x = 0.09
 
 print("Monte Carlo, one million trials, validation game at x = 0.09")
 result = simulate_truth(params, x, trials=1_000_000, seed=2024)
+pair = payoff_pair_regular(x, params)
 for role, hat, se, want in (
-    ("volunteer", result.volunteer_avg_hat, result.volunteer_se,
-     avg_payoff_volunteer(x, params)),
-    ("defector ", result.defector_avg_hat, result.defector_se,
-     avg_payoff_defector(x, params)),
+    ("volunteer", result.volunteer_avg_hat, result.volunteer_se, pair.volunteer_avg),
+    ("defector ", result.defector_avg_hat, result.defector_se, pair.defector_avg),
 ):
     z = (hat - want) / se
     print(f"  {role}: simulated {hat:.6f} +- {se:.6f}, formula {want:.6f}, z = {z:+.2f}")
@@ -50,9 +48,9 @@ print()
 print("Exact enumeration, 14-agent validation game (8192 profiles each)")
 small = TruthGameParams(n_regular=14, threshold=5, shared_reward=2.0)
 for xi in (0.2, 0.5, 0.8):
-    pair = enumerate_truth_exact(small, xi)
-    dv = abs(pair.volunteer_avg - avg_payoff_volunteer(xi, small))
-    dd = abs(pair.defector_avg - avg_payoff_defector(xi, small))
+    exact, formula = enumerate_truth_exact(small, xi), payoff_pair_regular(xi, small)
+    dv = abs(exact.volunteer_avg - formula.volunteer_avg)
+    dd = abs(exact.defector_avg - formula.defector_avg)
     print(f"  x = {xi}: |enumeration - formula| = {dv:.2e} (volunteer), {dd:.2e} (defector)")
 print()
 print("The enumeration weights every profile by x^v (1-x)^(13-v) with no")

@@ -16,8 +16,6 @@ import sys
 from dataclasses import dataclass, replace
 from typing import get_args, get_type_hints
 
-import numpy as np
-
 from .equilibrium import (
     DEGENERATE,
     STABLE,
@@ -396,11 +394,10 @@ def _fig2_lines(cfg: RunConfig, results) -> list[str]:
     lines = []
     unstables = {}
     stables = {}
-    for value, sample, report in results:
+    for value, _, report in results:
         unstable, stable = _roots_summary(report)
         if stable is None:
-            peak = max(sample.net)
-            at = sample.xs[sample.net.index(peak)]
+            at, peak = report.peak
             lines.append(
                 f"k={value}: no interior equilibrium "
                 f"(regime {report.regime}, net peaks at {_fmt6(peak)} near x={_fmt6(at)})"
@@ -435,17 +432,15 @@ def _fig2_lines(cfg: RunConfig, results) -> list[str]:
 
 
 def _fig3_lines(cfg: RunConfig, results) -> list[str]:
-    xs = np.linspace(0.0, 1.0, 4097)  # where the max net is looked up
     lines = [f"[{cfg.tail}]"]
     maxima = []
     crossings = []
     for p_star, _, report in results:
-        nets = _model_fns(replace(cfg, pstar=p_star)).net(xs)
-        best = int(np.argmax(nets))
-        maxima.append(float(nets[best]))
+        at, peak = report.peak
+        maxima.append(peak)
         crossings.append(report.equilibria[0].x if report.equilibria else None)
         lines.append(
-            f"pstar={p_star:g}: max net {_fmt6(maxima[-1])} at x_f={_fmt6(xs[best])}, "
+            f"pstar={p_star:g}: max net {_fmt6(peak)} at x_f={_fmt6(at)}, "
             "first crossing "
             + (f"x_f={_fmt6(crossings[-1])}" if crossings[-1] is not None else "none")
         )

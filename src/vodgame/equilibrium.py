@@ -30,7 +30,7 @@ DEGENERATE = "degenerate"
 _SECTIONS = 16  # a refinement call cuts each open bracket into this many parts
 _CUTS = np.arange(_SECTIONS + 1) / _SECTIONS
 _SLOPE_STEP = 1e-6  # half-width of the slope's central difference
-_SLOPE_EPSILON = 1e-9  # slopes within this of 0 classify as degenerate
+_SLOPE_EPSILON = 1e-9  # slopes within this times max|net| of 0 classify as degenerate
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,13 @@ class RegimeReport:
     "dominant_defect" (net negative throughout the scan grid) or
     "dominant_volunteer" (net positive throughout). Exact zeros sitting
     on the interval ends are reported as degenerate equilibria and do
-    not affect the regime. endpoint_signs holds sign(net) at x=0 and
-    x=1 as -1/0/+1.
+    not affect the regime. peak is (x, net) at the first scan-grid point
+    where the net is largest.
     """
 
     equilibria: tuple[Equilibrium, ...]
     regime: str
-    endpoint_signs: tuple[int, int]
+    peak: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,11 @@ def find_equilibria(
     spacing.
 
     The slope is a central difference at r +- 1e-6, cut at 0 and 1.
-    Below -1e-9 it means stable (deviations die out), above +1e-9
+    The band is 1e-9 times the largest |net| on the scan grid: below
+    -band the root is stable (deviations die out), above +band
     unstable; anything inside the band, and any exact zero at x=0 or
-    x=1, is reported as degenerate.
+    x=1, is reported as degenerate. The report's peak is read off the
+    same grid values.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
@@ -106,6 +108,8 @@ def find_equilibria(
         raise ValueError("tol must be positive and finite")
     xs = np.linspace(0.0, 1.0, grid_points)
     ys = _values(net_fn, xs)
+    best = int(ys.argmax())  # the first largest value
+    peak = (float(xs[best]), float(ys[best]))
     sign = np.sign(ys)
     left = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
     lo, hi = xs[left], xs[left + 1]
@@ -136,6 +140,7 @@ def find_equilibria(
 
     eqs = []
     if roots:
+        band = _SLOPE_EPSILON * float(np.abs(ys).max())
         r = np.array(roots)
         below, above = np.maximum(r - _SLOPE_STEP, 0.0), np.minimum(r + _SLOPE_STEP, 1.0)
         ends = _values(net_fn, np.concatenate((below, above)))
@@ -143,9 +148,9 @@ def find_equilibria(
         for x, slope in zip(roots, slopes.tolist()):
             if x == 0.0 or x == 1.0:
                 stability = DEGENERATE
-            elif slope < -_SLOPE_EPSILON:
+            elif slope < -band:
                 stability = STABLE
-            elif slope > _SLOPE_EPSILON:
+            elif slope > band:
                 stability = UNSTABLE
             else:
                 stability = DEGENERATE
@@ -154,13 +159,13 @@ def find_equilibria(
     interior = [e for e in eqs if not (e.x == 0.0 or e.x == 1.0)]
     if interior:
         regime = "mixed"
-    elif ys.max() <= 0.0:
+    elif peak[1] <= 0.0:
         regime = "dominant_defect"
     elif ys.min() >= 0.0:
         regime = "dominant_volunteer"
     else:
         regime = "mixed"
-    return RegimeReport(tuple(eqs), regime, (int(np.sign(ys[0])), int(np.sign(ys[-1]))))
+    return RegimeReport(tuple(eqs), regime, peak)
 
 
 def stable_equilibrium(

@@ -10,6 +10,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vodgame.cli import (
@@ -24,6 +25,8 @@ from vodgame.cli import (
     main,
     reads,
 )
+from vodgame.equilibrium import find_equilibria
+from vodgame.fake import FakeGameParams, TailMode, expected_net_payoff_fake
 from vodgame.truth import TruthGameParams, payoff_pair_regular
 
 
@@ -132,6 +135,18 @@ def test_equilibria_large_quorum_empty(capsys):
     assert doc["equilibria"] == []
 
 
+def test_equilibria_root_of_a_tiny_net_is_unstable(capsys):
+    """Under truncated averaging at sigma 40 the fake net stays below
+    ~1e-54, so its root's slope is 1.48e-54: against the net's own scale
+    that is a transversal root, not a degenerate one."""
+    doc = equilibria_json(capsys, "--model", "fake", "--tail", "truncated", "--sigma", "40")
+    assert doc["regime"] == "mixed"
+    (eq,) = doc["equilibria"]
+    assert eq["x"] == 0.7270139766048092
+    assert eq["slope"] == pytest.approx(1.48e-54, rel=0.01)
+    assert eq["stability"] == "unstable"
+
+
 # ---------------------------------------------------------------- sweep
 
 
@@ -177,6 +192,15 @@ def test_sweep_fake_maxima_decrease_with_turnout(tmp_path):
         maxima[value] = max(maxima.get(value, -1e18), v)
     ordered = [maxima[key] for key in sorted(maxima, key=float)]
     assert all(a > b for a, b in zip(ordered, ordered[1:]))
+
+
+def test_sweep_summary_keeps_the_root_of_a_tiny_net(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ("sweep", "--model", "fake", "--tail", "truncated", "--param", "sigma",
+            "--values", "12,40", "--out", str(out))
+    assert run_cli(*argv) == 0
+    summary = (tmp_path / "sweep_summary.csv").read_text(encoding="utf-8").splitlines()
+    assert summary[2] == "40,mixed,0.72701397660480915,"
 
 
 def test_sweep_requires_out_path(capsys):
@@ -566,6 +590,31 @@ def test_reproduce_reports_pin_their_checks(tmp_path, figure, checks):
     if figure == "fig3":
         assert "max-net ratio pstar=0.04 over pstar=0.10 [full]: 16.182" in report
         assert "max-net ratio pstar=0.04 over pstar=0.10 [truncated]: 0.785" in report
+
+
+def test_reproduce_fig3_reads_max_net_off_the_search(tmp_path, monkeypatch):
+    """Each p*'s max net and its x_f are the peak of that sweep's search,
+    so the fake net is evaluated only by the searches: 8 calls for each
+    of 4 p* in 2 modes, none of them on a separate fine grid."""
+    import vodgame.cli
+
+    sizes = []
+
+    def counted(x, *args, real=vodgame.cli.expected_net_payoff_fake):
+        sizes.append(np.size(x))
+        return real(x, *args)
+
+    monkeypatch.setattr(vodgame.cli, "expected_net_payoff_fake", counted)
+    report = reproduce_report(tmp_path, "fig3")
+    assert len(sizes) == 64
+    assert 4097 not in sizes
+    for tail in TailMode:
+        for p_star in (0.04, 0.06, 0.08, 0.10):
+            at, peak = find_equilibria(
+                lambda x: expected_net_payoff_fake(x, p_star, 100, FakeGameParams(), tail)
+            ).peak
+            start = f"pstar={p_star:g}: max net {peak:.6f} at x_f={at:.6f}, "
+            assert sum(line.startswith(start) for line in report) == 1, (tail, start)
 
 
 def test_reproduce_reports_missing_roots(tmp_path):

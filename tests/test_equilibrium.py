@@ -40,7 +40,7 @@ def test_baseline_has_two_interior_equilibria():
     assert upper.stability == STABLE
     assert upper.slope < 0.0
     assert 0.07 <= upper.x <= 0.11
-    assert report.endpoint_signs == (-1, -1)
+    assert report.peak[1] > 0.0
 
 
 def test_equilibria_sorted_and_separated():
@@ -75,7 +75,7 @@ def test_large_quorum_means_defection():
 def test_pure_synthetic_curves():
     always_neg = find_equilibria(lambda x: -1.0 - x, grid_points=64)
     assert always_neg.regime == "dominant_defect"
-    assert always_neg.endpoint_signs == (-1, -1)
+    assert always_neg.peak == (0.0, -1.0)
     always_pos = find_equilibria(lambda x: 0.5 + x, grid_points=64)
     assert always_pos.regime == "dominant_volunteer"
 
@@ -87,7 +87,7 @@ def test_boundary_zero_is_degenerate_not_regime_changing():
     assert report.equilibria[0].x == 0.0
     assert report.equilibria[0].stability == DEGENERATE
     assert report.regime == "dominant_defect"
-    assert report.endpoint_signs == (0, -1)
+    assert report.peak == (0.0, 0.0)
 
 
 def test_flat_zero_slope_root_is_degenerate():
@@ -217,6 +217,13 @@ def test_zero_net_has_a_degenerate_root_at_every_grid_point():
     assert all(e.stability == DEGENERATE for e in report.equilibria)
 
 
+def test_slope_band_scales_with_the_net():
+    # a transversal root of a net that is tiny everywhere is still unstable
+    (e,) = find_equilibria(lambda x: 1e-60 * (x - 0.3), grid_points=64).equilibria
+    assert e.slope == pytest.approx(1e-60, rel=1e-6)
+    assert e.stability == UNSTABLE
+
+
 def test_slope_is_one_sided_at_domain_ends():
     # each root lies within the 1e-6 difference step of 0 or 1
     for shift in (0.0, 1e-7, 3.0 - 1e-7, 3.0):
@@ -248,6 +255,20 @@ def test_net_fn_is_called_on_arrays_only():
     assert len(sizes) <= 9
 
 
+# ---------------------------------------------------------------- peak
+
+
+def test_baseline_peak_is_the_first_scan_grid_argmax():
+    xs = np.linspace(0.0, 1.0, 2048)
+    nets = net_payoff_regular(xs, BASELINE)
+    best = int(np.argmax(nets))
+    assert find_equilibria(truth_net(BASELINE)).peak == (xs[best], nets[best])
+
+
+def test_constant_net_peaks_at_the_first_grid_point():
+    assert find_equilibria(lambda x: -0.5, grid_points=64).peak == (0.0, -0.5)
+
+
 # ---------------------------------------------------------------- stable root
 
 
@@ -274,6 +295,18 @@ def test_stable_root_increases_with_reward():
     ]
     assert all(r is not None for r in roots)
     assert all(a < b for a, b in zip(roots, roots[1:]))
+
+
+@pytest.mark.parametrize("n,k,sigma,rel", [
+    *((100, 6, sigma, 0.005) for sigma in (5.0, 6.0, 7.0, 8.0)),
+    (10**4, 60, 500.0, 1e-9),
+])
+def test_stable_root_follows_reward_over_cost_times_n(n, k, sigma, rel):
+    """Once the quorum is nearly certain the net is -c + sigma E[1/(m+1)],
+    so the stable root is about sigma / (c n): fig1's linear rise."""
+    params = TruthGameParams(n_regular=n, threshold=k, shared_reward=sigma)
+    root = stable_equilibrium(params)
+    assert root == pytest.approx(sigma / (params.cost_volunteer * n), rel=rel)
 
 
 def test_stable_root_barely_moves_with_quorum():
