@@ -25,9 +25,9 @@ print()
 # A coarse sample is enough to see the shape: volunteering is a losing
 # move when nobody else shows up, briefly profitable in a narrow band,
 # and mildly losing again once success is already assured without you.
-sample = sample_curve(lambda x: payoff_pair_regular(x, params), points=21)
+xs, pair = sample_curve(lambda x: payoff_pair_regular(x, params), points=21)
 print(f"{'x':>6} {'volunteer':>12} {'defector':>12} {'net':>12}")
-for x, v, d, n in zip(sample.xs, sample.volunteer_avg, sample.defector_avg, sample.net):
+for x, v, d, n in zip(xs, pair.volunteer_avg, pair.defector_avg, pair.net):
     marker = "  <-- net > 0" if n > 0 else ""
     print(f"{x:6.2f} {v:12.6f} {d:12.6f} {n:12.6f}{marker}")
 print()

@@ -8,7 +8,6 @@ from .equilibrium import (
     DEGENERATE,
     STABLE,
     UNSTABLE,
-    CurveSample,
     Equilibrium,
     RegimeReport,
     find_equilibria,
@@ -41,7 +40,6 @@ from .truth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CurveSample",
     "DEGENERATE",
     "Equilibrium",
     "FakeGameParams",

@@ -238,8 +238,8 @@ def _csv(header: str, lines) -> str:
 
 
 def cmd_curve(cfg: RunConfig, out: str | None) -> int:
-    sample = sample_curve(_model_fns(cfg).pair, (cfg.xmin, cfg.xmax), cfg.points)
-    columns = (sample.xs, sample.volunteer_avg, sample.defector_avg, sample.net)
+    xs, pair = sample_curve(_model_fns(cfg).pair, (cfg.xmin, cfg.xmax), cfg.points)
+    columns = [c.tolist() for c in (xs, pair.volunteer_avg, pair.defector_avg, pair.net)]
     rows = ["%.17g,%.17g,%.17g,%.17g" % row for row in zip(*columns)]  # _fmt, one row at a time
     _write_text(out, _csv(CURVE_HEADER, rows))
     return 0
@@ -259,19 +259,17 @@ def _roots_summary(report: RegimeReport) -> tuple[float | None, float | None]:
 
 
 def run_sweep(base: RunConfig, name: str, values: tuple):
-    """Evaluate the curve and the equilibria of base with the field
-    name set to each of values in turn.
-
-    Returns a list of (value, CurveSample, RegimeReport) in the order
-    of values.
-    """
+    """Sample the net and find the equilibria of base with the field
+    name set to each of values in turn: a list of (value, (xs, net),
+    RegimeReport) in the order of values, (xs, net) as sample_curve
+    returns it. The curve samples the same net function the search scans."""
     results = []
     for value in values:
         cfg = replace(base, **{name: value})
         model = _model_fns(cfg)
-        sample = sample_curve(model.pair, (cfg.xmin, cfg.xmax), cfg.points)
+        curve = sample_curve(model.net, (cfg.xmin, cfg.xmax), cfg.points)
         report = find_equilibria(model.net, cfg.grid, cfg.tol)
-        results.append((value, sample, report))
+        results.append((value, curve, report))
     return results
 
 
@@ -279,10 +277,10 @@ def _sweep_csvs(swept_name: str, results) -> tuple[str, str]:
     """The long CSV and the summary CSV of run_sweep's results."""
     long_rows = []
     summary_rows = []
-    for value, sample, report in results:
+    for value, (xs, net), report in results:
         value_str = _fmt(float(value))
         row = f"{swept_name},{value_str},%.17g,%.17g"  # a field name and a number: no %
-        long_rows += [row % pair for pair in zip(sample.xs, sample.net)]
+        long_rows += [row % pair for pair in zip(xs.tolist(), net.tolist())]
         roots = ("" if x is None else _fmt(x) for x in _roots_summary(report))
         summary_rows.append(",".join((value_str, report.regime, *roots)))
     return _csv(SWEEP_HEADER, long_rows), _csv(SUMMARY_HEADER, summary_rows)

@@ -9,7 +9,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import require_probability
-from .truth import PayoffPair, TruthGameParams, net_payoff_regular
+from .truth import TruthGameParams, net_payoff_regular
 
 __all__ = [
     "STABLE",
@@ -17,7 +17,6 @@ __all__ = [
     "DEGENERATE",
     "Equilibrium",
     "RegimeReport",
-    "CurveSample",
     "find_equilibria",
     "stable_equilibrium",
     "sample_curve",
@@ -55,17 +54,6 @@ class RegimeReport:
     equilibria: tuple[Equilibrium, ...]
     regime: str
     peak: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class CurveSample:
-    """Parallel sequences sampled from one model: xs, both average
-    payoffs, and their difference."""
-
-    xs: tuple[float, ...]
-    volunteer_avg: tuple[float, ...]
-    defector_avg: tuple[float, ...]
-    net: tuple[float, ...]
 
 
 def _values(net_fn: Callable, xs: np.ndarray) -> np.ndarray:
@@ -179,12 +167,12 @@ def stable_equilibrium(
 
 
 def sample_curve(
-    pair_fn: Callable[[np.ndarray], PayoffPair],
+    fn: Callable[[np.ndarray], object],
     x_range: tuple[float, float] = (0.0, 1.0),
     points: int = 101,
-) -> CurveSample:
-    """Evaluate pair_fn once, on an even grid array over x_range; each
-    field of the PayoffPair it returns holds one value per point or one for all."""
+) -> tuple[np.ndarray, object]:
+    """(xs, fn(xs)): the even grid of points over x_range as a float
+    array, and what fn returns for it, from one call."""
     lo, hi = x_range
     lo = require_probability(lo, "x_range lower end")
     hi = require_probability(hi, "x_range upper end")
@@ -193,6 +181,4 @@ def sample_curve(
     if points < 2:
         raise ValueError("points must be >= 2")
     xs = np.linspace(lo, hi, points)
-    pair = pair_fn(xs)
-    columns = (xs, pair.volunteer_avg, pair.defector_avg, pair.net)
-    return CurveSample(*(tuple(np.broadcast_to(c, xs.shape).tolist()) for c in columns))
+    return xs, fn(xs)

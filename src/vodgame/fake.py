@@ -59,12 +59,6 @@ class FakeGameParams:
             raise ValueError("cost_volunteer_fake must be below cost_failure")
 
 
-def _wins(fake_volunteers: int, regular_volunteers: int, strict: bool) -> bool:
-    if strict:
-        return fake_volunteers > regular_volunteers
-    return fake_volunteers >= regular_volunteers
-
-
 def _gains(weights: np.ndarray, p: FakeGameParams):
     # mix's gains callable for the volunteer and defector over the focal
     # agent's 0..n_fake-1 volunteering peers, averaged over the regular

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fake import FakeGameParams, _wins
+from .fake import FakeGameParams
 from .numerics import _require_count, require_probability
 from .truth import PayoffPair, TruthGameParams
 
@@ -130,6 +130,13 @@ def _truth_payoffs(co_volunteers: np.ndarray, params: TruthGameParams):
         1.0 - p.cost_failure,
     )
     return pay_v, pay_d
+
+
+def _wins(fake_volunteers, regular_volunteers, strict: bool):
+    # ties go to the fakes unless strict dominance demands strictly more
+    if strict:
+        return fake_volunteers > regular_volunteers
+    return fake_volunteers >= regular_volunteers
 
 
 def _fake_payoffs(peers: np.ndarray, turnout, params: FakeGameParams):

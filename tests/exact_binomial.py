@@ -54,3 +54,23 @@ def exact_regular_payoffs(params, x: float) -> tuple[Fraction, Fraction, Fractio
     defector = (1 - alpha) + pivot * exact_tail_at_least(n - 1, k, x)
     net = -c + pivot * exact_pmf(n - 1, k - 1, x) + share
     return volunteer, defector, net
+
+
+def exact_fake_net(params, n: int, p_star: float, x_f: float, truncated: bool) -> Fraction:
+    """The dissemination game's net at x_f against a regular turnout
+    M ~ Binomial(n, p_star), as an exact rational through the pivot
+    probability: with J ~ Binomial(f-1, x_f) peers, a focal fake
+    volunteer turns a loss into a win iff M = J + 1 - s, so
+
+    - net: sum_j b(j; f-1, x_f) (alpha P[M = j+1-s] - cf T)
+
+    where s is 1 under strict dominance and 0 otherwise, and T is the
+    turnout mass the average counts: 1, or P[M <= f] when truncated.
+    """
+    f, s = params.n_fake, 1 if params.strict_dominance else 0
+    alpha, cf = Fraction(params.cost_failure), Fraction(params.cost_volunteer_fake)
+    total = sum(exact_pmf(n, m, p_star) for m in range(f + 1)) if truncated else 1
+    return sum(
+        exact_pmf(f - 1, j, x_f) * (alpha * exact_pmf(n, j + 1 - s, p_star) - cf * total)
+        for j in range(f)
+    )

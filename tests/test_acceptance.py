@@ -9,10 +9,12 @@ message. Diagnostic prints are visible with `-rA`.
 
 import math
 import time
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from exact_bernstein import bernstein_value, halves, negative_pieces, regular_net_coefficients
 from exact_binomial import exact_tail_above
 
 from vodgame.cli import main
@@ -66,6 +68,46 @@ def test_c01_stable_root_band_across_thresholds():
     assert all(0.07 <= r <= 0.11 for r in roots), roots
     assert max(roots) - min(roots) <= 0.02, roots
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
+
+
+def exact_net(k, sigma):
+    # the regular net at n = 100, c = 1/2, alpha = 9/10 as exact Bernstein coefficients
+    return regular_net_coefficients(100, k, Fraction(1, 2), Fraction(9, 10), sigma)
+
+
+def test_c01_companion_the_k8_net_is_exactly_negative_at_sigma_5():
+    """c01's k = 8 finding, proved at n = 100 in exact rationals: the net
+    is negative on all of [0, 1], so there is no root to find, and it
+    stays so up to sigma = 5.1986. At sigma = 5.1988 it is positive at
+    x = 0.090773, so the fold of k = 8 lies between the two. The
+    coefficients are the kernel's net to rounding."""
+    coeffs = exact_net(8, Fraction(5))
+    for x in (0.01, 0.09, 0.5, 0.99):
+        want = net_payoff_regular(x, TruthGameParams(threshold=8))
+        assert abs(float(bernstein_value(coeffs, x)) - want) <= 1e-13, x
+    pieces = negative_pieces(coeffs)
+    assert pieces is not None and pieces[0][0] == 0 and pieces[-1][1] == 1
+    assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+    assert negative_pieces(exact_net(8, Fraction(25993, 5000))) is not None
+    above = bernstein_value(exact_net(8, Fraction(51988, 10000)), Fraction(90773, 10**6))
+    assert 9.06e-6 < above < 9.08e-6
+
+
+def test_c01_companion_halves_restrict_the_polynomial():
+    """The proof's subdivision: each half's coefficients, over 2^degree,
+    are the polynomial on that half, exactly."""
+    coeffs = [3, -1, 4, -1, 5, -9]
+    left, right = halves(coeffs)
+    for x in (Fraction(0), Fraction(1, 3), Fraction(1)):
+        assert bernstein_value(left, x) / 2**5 == bernstein_value(coeffs, x / 2)
+        assert bernstein_value(right, x) / 2**5 == bernstein_value(coeffs, (1 + x) / 2)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_c01_companion_no_proof_where_a_stable_root_exists(k):
+    """At sigma = 5 the thresholds 5, 6 and 7 have their root pair, so
+    the net is positive somewhere and the proof fails."""
+    assert negative_pieces(exact_net(k, Fraction(5))) is None
 
 
 def test_c02_two_equilibria_per_reward():

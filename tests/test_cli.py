@@ -27,7 +27,7 @@ from vodgame.cli import (
 )
 from vodgame.equilibrium import find_equilibria
 from vodgame.fake import FakeGameParams, TailMode, expected_net_payoff_fake
-from vodgame.truth import TruthGameParams, payoff_pair_regular
+from vodgame.truth import TruthGameParams, net_payoff_regular, payoff_pair_regular
 
 
 def run_cli(*argv):
@@ -201,6 +201,39 @@ def test_sweep_summary_keeps_the_root_of_a_tiny_net(tmp_path):
     assert run_cli(*argv) == 0
     summary = (tmp_path / "sweep_summary.csv").read_text(encoding="utf-8").splitlines()
     assert summary[2] == "40,mixed,0.72701397660480915,"
+
+
+def _truth_net(xs, sigma, tail):
+    return net_payoff_regular(xs, TruthGameParams(shared_reward=sigma))
+
+
+def _fake_net(xs, p_star, tail):
+    return expected_net_payoff_fake(xs, p_star, 100, FakeGameParams(), TailMode(tail))
+
+
+@pytest.mark.parametrize("argv,files,net", [
+    (("sweep", "--param", "sigma", "--values", "5,6,7,8", "--out", "s.csv"),
+     {"s.csv": None}, _truth_net),
+    (("sweep", "--model", "fake", "--param", "pstar", "--values", "0.04,0.10", "--out", "p.csv"),
+     {"p.csv": "full"}, _fake_net),
+    (("reproduce", "fig3", "--out", "."),
+     {"fig3_full_curves.csv": "full", "fig3_truncated_curves.csv": "truncated"}, _fake_net),
+], ids=["sigma", "pstar", "fig3"])
+def test_long_csv_nets_are_the_searched_net_bit_for_bit(tmp_path, monkeypatch, argv, files, net):
+    """Every net cell of a sweep's or a figure's long CSV is the net
+    function its search scans, at the cell's x and swept value, to all
+    17 digits."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 0
+    for name, tail in files.items():
+        _, rows = read_rows(tmp_path / name)
+        cells = {}
+        for _, value, x, cell in rows:
+            cells.setdefault(value, []).append((float(x), cell))
+        assert rows
+        for value, column in cells.items():
+            want = net(np.array([x for x, _ in column]), float(value), tail)
+            assert [cell for _, cell in column] == [f"{y:.17g}" for y in want.tolist()], value
 
 
 def test_sweep_requires_out_path(capsys):
@@ -594,8 +627,9 @@ def test_reproduce_reports_pin_their_checks(tmp_path, figure, checks):
 
 def test_reproduce_fig3_reads_max_net_off_the_search(tmp_path, monkeypatch):
     """Each p*'s max net and its x_f are the peak of that sweep's search,
-    so the fake net is evaluated only by the searches: 8 calls for each
-    of 4 p* in 2 modes, none of them on a separate fine grid."""
+    so the fake net is evaluated by the searches, 8 calls for each of 4
+    p* in 2 modes, and once more for each 201-point curve. None of them
+    is on a separate fine grid, and the pair is never evaluated."""
     import vodgame.cli
 
     sizes = []
@@ -604,9 +638,14 @@ def test_reproduce_fig3_reads_max_net_off_the_search(tmp_path, monkeypatch):
         sizes.append(np.size(x))
         return real(x, *args)
 
+    def pair(*args):
+        raise AssertionError("reproduce fig3 evaluated the pair")
+
     monkeypatch.setattr(vodgame.cli, "expected_net_payoff_fake", counted)
+    monkeypatch.setattr(vodgame.cli, "expected_fake_payoffs", pair)
     report = reproduce_report(tmp_path, "fig3")
-    assert len(sizes) == 64
+    assert len(sizes) == 72
+    assert sizes.count(201) == 8
     assert 4097 not in sizes
     for tail in TailMode:
         for p_star in (0.04, 0.06, 0.08, 0.10):

@@ -328,29 +328,43 @@ def test_stable_root_barely_moves_with_quorum():
 
 
 def test_sample_curve_baseline_endpoints():
-    sample = sample_curve(lambda x: payoff_pair_regular(x, BASELINE))
-    assert len(sample.xs) == 101
-    assert sample.xs[0] == 0.0 and sample.xs[-1] == 1.0
-    assert sample.net[0] == -0.5
-    assert sample.net[-1] == pytest.approx(-0.45, abs=1e-15)
+    xs, pair = sample_curve(lambda x: payoff_pair_regular(x, BASELINE))
+    assert len(xs) == 101
+    assert xs[0] == 0.0 and xs[-1] == 1.0
+    assert pair.net[0] == -0.5
+    assert pair.net[-1] == pytest.approx(-0.45, abs=1e-15)
 
 
 def test_sample_curve_lists_are_parallel_and_increasing():
-    sample = sample_curve(lambda x: payoff_pair_regular(x, BASELINE), points=33)
-    n = len(sample.xs)
+    xs, pair = sample_curve(lambda x: payoff_pair_regular(x, BASELINE), points=33)
+    n = len(xs)
     assert n == 33
-    assert len(sample.volunteer_avg) == n
-    assert len(sample.defector_avg) == n
-    assert len(sample.net) == n
-    assert all(a < b for a, b in zip(sample.xs, sample.xs[1:]))
+    assert len(pair.volunteer_avg) == n
+    assert len(pair.defector_avg) == n
+    assert len(pair.net) == n
+    assert all(a < b for a, b in zip(xs, xs[1:]))
 
 
 def test_sample_curve_subrange():
-    sample = sample_curve(
+    xs, _ = sample_curve(
         lambda x: payoff_pair_regular(x, BASELINE), x_range=(0.2, 0.6), points=5
     )
-    assert sample.xs[0] == 0.2
-    assert sample.xs[-1] == 0.6
+    assert xs[0] == 0.2
+    assert xs[-1] == 0.6
+
+
+def test_sample_curve_calls_fn_once_on_its_grid():
+    calls = []
+
+    def net(x):
+        calls.append(x)
+        return net_payoff_regular(x, BASELINE)
+
+    xs, ys = sample_curve(net, (0.25, 0.75), 9)
+    assert len(calls) == 1 and calls[0] is xs
+    assert isinstance(xs, np.ndarray) and xs.dtype == np.float64
+    assert np.array_equal(xs, np.linspace(0.25, 0.75, 9))
+    assert np.array_equal(ys, net_payoff_regular(xs, BASELINE))
 
 
 @pytest.mark.parametrize("x_range,points", [((0.5, 0.5), 10), ((0.6, 0.2), 10), ((0.0, 1.0), 1), ((-0.1, 0.5), 10)])
@@ -391,11 +405,12 @@ def test_fake_curve_has_positive_region_at_low_turnout():
 
 def test_searches_mix_one_sequence(monkeypatch, capsys):
     """Every search mixes the net's own gain sequence, one per kernel
-    call: the library searches of both games, stable_equilibrium and the
-    CLI's equilibria. A curve still mixes the volunteer and the defector."""
+    call: the library searches of both games, stable_equilibrium, the
+    CLI's equilibria and its sweeps, whose curves sample the net too. A
+    curve of the pair mixes the volunteer and the defector."""
     import vodgame.fake
     import vodgame.truth
-    from vodgame.cli import main
+    from vodgame.cli import RunConfig, main, run_sweep
 
     sequences = []
     for module in (vodgame.truth, vodgame.fake):
@@ -411,6 +426,8 @@ def test_searches_mix_one_sequence(monkeypatch, capsys):
     stable_equilibrium(BASELINE)
     assert main(["equilibria"]) == 0
     assert main(["equilibria", "--model", "fake"]) == 0
+    run_sweep(RunConfig(), "sigma", (5.0,))
+    run_sweep(RunConfig(model="fake", pstar=0.06), "pstar", (0.04,))
     capsys.readouterr()
     assert sequences and set(sequences) == {1}
     sequences.clear()

@@ -6,10 +6,11 @@ Binomial(1, 0) for r = 0: its pmf row is one-hot at r, so the FULL
 average is the payoff against r (see `against`)."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from exact_binomial import exact_tail_above
+from exact_binomial import exact_fake_net, exact_tail_above
 
 from vodgame.fake import (
     FakeGameParams,
@@ -314,6 +315,24 @@ def test_expected_places_a_window_that_starts_among_the_kept_turnouts():
 
 
 # ---------------------------------------------------------------- properties
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["ties_win", "strict"])
+@pytest.mark.parametrize("tail", [TailMode.FULL, TailMode.TRUNCATED])
+@pytest.mark.parametrize("p_star", [0.04, 0.06, 0.08, 0.10])
+def test_net_matches_the_exact_pivot_form_at_n_100(p_star, tail, strict):
+    """The net and the pair's net at n = 100 against the exact rational
+    sum_j b(j; f-1, x_f) (alpha P[M = j+1-s] - cf T), taking p* and x_f
+    at their binary values, within 1e-13 times max(1, |net|)."""
+    params = FakeGameParams(strict_dominance=strict)
+    xs = np.array([0.0, 0.1, 0.375, 0.5, 0.9, 1.0])
+    net = expected_net_payoff_fake(xs, p_star, 100, params, tail)
+    pair = expected_fake_payoffs(xs, p_star, 100, params, tail)
+    for i, x_f in enumerate(xs.tolist()):
+        want = exact_fake_net(params, 100, p_star, x_f, tail is TailMode.TRUNCATED)
+        for got in (net[i], pair.net[i]):
+            error = abs(Fraction(float(got)) - want)
+            assert error <= 1e-13 * max(1.0, abs(want)), (x_f, float(error))
 
 
 def test_tail_mode_gap_is_exactly_the_discarded_cost():
