@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import get_args, get_type_hints
 
 from .equilibrium import (
@@ -184,9 +185,9 @@ def _truth_params(cfg: RunConfig) -> TruthGameParams:
 
 @dataclass(frozen=True)
 class _Model:
-    """A run's model: its PayoffPair and its net payoff at x, a float or
-    an array; the point simulate checks; and simulate(trials, seed), the
-    SimResult of the Monte Carlo run there."""
+    """A run's model, library functions bound to its game: its PayoffPair
+    and net payoff at x, a float or an array; the point simulate checks;
+    and simulate(trials=, seed=), the Monte Carlo run's SimResult there."""
 
     pair: object
     net: object
@@ -199,12 +200,9 @@ def _model_fns(cfg: RunConfig) -> _Model:
     game's stable equilibrium, derived once, here."""
     if cfg.model == "truth":
         params = _truth_params(cfg)
-        return _Model(
-            lambda x: payoff_pair_regular(x, params),
-            lambda x: net_payoff_regular(x, params),
-            cfg.x,
-            lambda trials, seed: simulate_truth(params, cfg.x, trials, seed),
-        )
+        return _Model(partial(payoff_pair_regular, params=params),
+                      partial(net_payoff_regular, params=params),
+                      cfg.x, partial(simulate_truth, params, cfg.x))
     params = FakeGameParams(n_fake=cfg.f, cost_volunteer_fake=cfg.cf, cost_failure=cfg.alpha,
                             strict_dominance=cfg.strict_dominance)
     p_star = cfg.pstar
@@ -213,13 +211,11 @@ def _model_fns(cfg: RunConfig) -> _Model:
         if p_star is None:
             raise ValueError("the validation game has no stable equilibrium to derive "
                              "pstar from; pass --pstar explicitly")
-    tail, n = TailMode(cfg.tail), cfg.n
-    return _Model(
-        lambda x: expected_fake_payoffs(x, p_star, n, params, tail),
-        lambda x: expected_net_payoff_fake(x, p_star, n, params, tail),
-        cfg.xf,
-        lambda trials, seed: simulate_fake(p_star, n, params, cfg.xf, trials, seed),
-    )
+    game = {"p_star": p_star, "n_regular": cfg.n, "params": params}
+    tail = TailMode(cfg.tail)
+    return _Model(partial(expected_fake_payoffs, **game, tail=tail),
+                  partial(expected_net_payoff_fake, **game, tail=tail),
+                  cfg.xf, partial(simulate_fake, **game, x_f=cfg.xf))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -327,7 +323,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     # the Monte Carlo run draws every turnout, so it checks the full average
     model = _model_fns(replace(cfg, tail="full"))
     pair = model.pair(model.point)
-    sim = model.simulate(cfg.trials, cfg.seed)
+    sim = model.simulate(trials=cfg.trials, seed=cfg.seed)
     analytic_v, analytic_d = pair.volunteer_avg, pair.defector_avg
     z_v = _z_score(sim.volunteer_avg_hat, analytic_v, sim.volunteer_se)
     z_d = _z_score(sim.defector_avg_hat, analytic_d, sim.defector_se)
@@ -575,9 +571,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sweep(cfg, args.param, values, args.out)
         if args.command == "simulate":
             return cmd_simulate(cfg)
-        if args.command == "reproduce":
-            return cmd_reproduce(args.figure, args.out, cfg.grid, cfg.tol)
-        raise ValueError(f"unknown command {args.command!r}")
+        return cmd_reproduce(args.figure, args.out, cfg.grid, cfg.tol)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -69,8 +69,8 @@ def _gains(weights: np.ndarray, p: FakeGameParams):
     f = p.n_fake
 
     def gains(m: np.ndarray) -> np.ndarray:
-        # below[i] = P[M < i] over M = 0..n_fake, for i = 0..n_fake + 1 at least
-        below = np.cumsum(np.concatenate(([0.0], weights[: f + 1], np.zeros(f + 1))))
+        # below[i] = P[M < i] over M = 0..n_fake, for i = 0..n_fake + 1
+        below = np.cumsum(np.concatenate(([0.0], weights[: f + 1])))
         total = below[-1] + weights[f + 1]
         # with j peers a defector wins iff M < lo = j + 1 - s and a volunteer
         # iff M < lo + 1, where s = 1 under strict dominance

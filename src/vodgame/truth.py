@@ -100,12 +100,6 @@ def _net_gains(params: TruthGameParams):
     return lambda m: np.subtract(*gains(m))[None]
 
 
-def _role(gains, row: int):
-    # mix's gains callable for one sequence of gains alone: 0 the
-    # volunteer's, 1 the defector's
-    return lambda m: gains(m)[row : row + 1]
-
-
 def payoff_pair_regular(x, params: TruthGameParams) -> PayoffPair:
     """Average volunteer and defector payoffs when each of the other
     n_regular-1 agents volunteers independently with probability x
@@ -123,13 +117,13 @@ def payoff_pair_regular(x, params: TruthGameParams) -> PayoffPair:
 
 
 def avg_payoff_volunteer(x, params: TruthGameParams) -> float:
-    """Expected payoff of a volunteer at mixing x; see payoff_pair_regular."""
-    return mix(_role(_gains(params), 0), params.n_regular - 1, x)[0]
+    """Expected payoff of a volunteer at mixing x: payoff_pair_regular's row."""
+    return payoff_pair_regular(x, params).volunteer_avg
 
 
 def avg_payoff_defector(x, params: TruthGameParams) -> float:
-    """Expected payoff of a defector at mixing x; see payoff_pair_regular."""
-    return mix(_role(_gains(params), 1), params.n_regular - 1, x)[0]
+    """Expected payoff of a defector at mixing x: payoff_pair_regular's row."""
+    return payoff_pair_regular(x, params).defector_avg
 
 
 def net_payoff_regular(x, params: TruthGameParams) -> float:

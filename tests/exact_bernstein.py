@@ -55,6 +55,12 @@ def halves(coeffs) -> tuple[list[int], list[int]]:
     return left, right
 
 
+def _integers(coeffs) -> list[int]:
+    # the coefficients times their common denominator: integers of the same signs
+    scale = math.lcm(*(Fraction(b).denominator for b in coeffs))
+    return [int(b * scale) for b in coeffs]
+
+
 def negative_pieces(coeffs, max_pieces: int = 64):
     """Dyadic pieces (lo, hi) of [0, 1], on each of which every
     coefficient is negative, which together prove the polynomial
@@ -63,8 +69,7 @@ def negative_pieces(coeffs, max_pieces: int = 64):
 
     The rational coefficients are scaled once by their common
     denominator, so the subdivision runs on exact integers."""
-    scale = math.lcm(*(Fraction(b).denominator for b in coeffs))
-    todo = [(Fraction(0), Fraction(1), [int(b * scale) for b in coeffs])]
+    todo = [(Fraction(0), Fraction(1), _integers(coeffs))]
     proved = []
     pieces = 1
     while todo:
@@ -81,3 +86,36 @@ def negative_pieces(coeffs, max_pieces: int = 64):
         left, right = halves(piece)
         todo += [(mid, hi, right), (lo, mid, left)]
     return sorted(proved)
+
+
+def root_pieces(coeffs, max_pieces: int = 256):
+    """Dyadic pieces (lo, hi) of [0, 1] that isolate the polynomial's
+    roots in (0, 1), one root inside each, in increasing order. None
+    when the polynomial is 0 at 0, at 1 or at a cut, or when max_pieces
+    would not suffice, as at a double root.
+
+    The count of roots inside a piece is at most the count V of sign
+    changes of its coefficients, and of V's parity (Descartes' rule in
+    the Bernstein basis). So a piece with V = 0, such as one whose
+    coefficients are all negative, holds no root, and a piece with
+    V = 1, whose end values then have opposite signs, holds exactly
+    one; any other piece is halved."""
+    todo = [(Fraction(0), Fraction(1), _integers(coeffs))]
+    roots = []
+    pieces = 1
+    while todo:
+        lo, hi, piece = todo.pop()
+        if piece[0] == 0 or piece[-1] == 0:
+            return None  # the polynomial's value at lo or at hi
+        signs = [b > 0 for b in piece if b != 0]
+        changes = sum(a != b for a, b in zip(signs, signs[1:]))
+        if changes <= 1:
+            roots += [(lo, hi)] * changes
+            continue
+        if pieces == max_pieces:
+            return None
+        pieces += 1
+        mid = (lo + hi) / 2
+        left, right = halves(piece)
+        todo += [(mid, hi, right), (lo, mid, left)]
+    return roots

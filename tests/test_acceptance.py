@@ -110,6 +110,21 @@ def test_c01_companion_no_proof_where_a_stable_root_exists(k):
     assert negative_pieces(exact_net(k, Fraction(5))) is None
 
 
+@pytest.mark.parametrize("k,fold", [(5, "3.037603"), (6, "3.776846"), (7, "4.495973"),
+                                    (8, "5.198680")])
+def test_c01_companion_the_fold_in_sigma_at_n_100(k, fold):
+    """The reward sigma_dagger(k) below which threshold k has no root
+    pair, to 1e-6 at n = 100: 1e-6 below it the net is proved negative
+    on all of [0, 1], and 1e-6 above it the net is exactly positive at
+    the float net's argmax on a fine grid. c01's sigma = 5 lies between
+    sigma_dagger(7) and sigma_dagger(8)."""
+    fold, step = Fraction(fold), Fraction(1, 10**6)
+    assert negative_pieces(exact_net(k, fold - step), max_pieces=256) is not None
+    xs = np.linspace(0.0, 1.0, 200_001)
+    net = net_payoff_regular(xs, TruthGameParams(threshold=k, shared_reward=float(fold + step)))
+    assert bernstein_value(exact_net(k, fold + step), float(xs[net.argmax()])) > 0
+
+
 def test_c02_two_equilibria_per_reward():
     """Rewards 5 through 8 each give a mixed regime with exactly two
     roots, the smaller unstable and the larger stable."""
@@ -279,6 +294,37 @@ def test_c09c_fake_max_net_ratio_window():
     print("max-net ratio, 4% over 10% turnout:",
           {k: f"{v:.3f}" for k, v in ratios.items()})
     assert any(2.5 <= r <= 5.5 for r in ratios.values()), ratios
+
+
+def _max_fake_net(sigma: float, tail: TailMode) -> tuple[float, float]:
+    # p* at reward sigma, and the fake side's max net against it at the defaults
+    p_star = stable_equilibrium(TruthGameParams(shared_reward=sigma))
+    net = find_equilibria(
+        lambda x_f: expected_net_payoff_fake(x_f, p_star, 100, FakeGameParams(), tail)
+    )
+    return p_star, net.peak[1]
+
+
+def test_c09_companion_full_mode_deters_the_push_above_sigma_f():
+    """Under FULL the fake side's max net falls through 0 at the reward
+    sigma_F = 5.05315 (p* = 0.101437), found by bisection on [5, 6]:
+    above it no push pays, and the paper's sigma = 5 sits about 1%
+    below it."""
+    lo, hi = 5.0, 6.0
+    assert _max_fake_net(lo, TailMode.FULL)[1] > 0 > _max_fake_net(hi, TailMode.FULL)[1]
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _max_fake_net(mid, TailMode.FULL)[1] > 0 else (lo, mid)
+    assert 5.0531 < lo < hi < 5.0533, (lo, hi)
+    assert _max_fake_net(lo, TailMode.FULL)[0] == pytest.approx(0.101437, abs=1e-6)
+
+
+@pytest.mark.parametrize("sigma,peak", [(10.0, 4.35e-4), (15.0, 5.31e-8), (40.0, 1.23e-54)])
+def test_c09_companion_truncated_mode_never_deters_the_push(sigma, peak):
+    """Under TRUNCATED the fake side's max net stays positive however
+    large the reward, so that mode has no sigma_F: it falls towards 0
+    instead of through it."""
+    assert _max_fake_net(sigma, TailMode.TRUNCATED)[1] == pytest.approx(peak, rel=0.01)
 
 
 def test_c10_tail_mode_identity():

@@ -634,11 +634,11 @@ def test_reproduce_fig3_reads_max_net_off_the_search(tmp_path, monkeypatch):
 
     sizes = []
 
-    def counted(x, *args, real=vodgame.cli.expected_net_payoff_fake):
+    def counted(x, real=vodgame.cli.expected_net_payoff_fake, **game):
         sizes.append(np.size(x))
-        return real(x, *args)
+        return real(x, **game)
 
-    def pair(*args):
+    def pair(*args, **game):
         raise AssertionError("reproduce fig3 evaluated the pair")
 
     monkeypatch.setattr(vodgame.cli, "expected_net_payoff_fake", counted)

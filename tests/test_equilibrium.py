@@ -1,9 +1,11 @@
 """Root finding and classification on the game's net-payoff curves."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from exact_bernstein import regular_net_coefficients, root_pieces
 
 from vodgame.equilibrium import (
     DEGENERATE,
@@ -322,6 +324,43 @@ def test_stable_root_barely_moves_with_quorum():
     unstable = [reports[k].equilibria[0].x for k in (5, 6, 7)]
     assert max(stable) - min(stable) <= 0.02
     assert max(unstable) - min(unstable) > (max(stable) - min(stable))
+
+
+# ---------------------------------------------------------------- exact roots
+
+
+def test_root_pieces_isolate_each_root():
+    """(x - 1/4)(x - 2/3) in the degree-2 Bernstein basis: one piece
+    around each root. A double root never isolates, and a root on a cut
+    is not decided."""
+    def quadratic(a, b):
+        return [a * b, a * b - (a + b) / 2, (1 - a) * (1 - b)]
+
+    pieces = root_pieces(quadratic(Fraction(1, 4), Fraction(2, 3)))
+    assert len(pieces) == 2
+    assert pieces[0][0] < Fraction(1, 4) < pieces[0][1] <= pieces[1][0]
+    assert pieces[1][0] < Fraction(2, 3) < pieces[1][1]
+    assert root_pieces(quadratic(Fraction(1, 3), Fraction(1, 3))) is None
+    assert root_pieces(quadratic(Fraction(1, 2), Fraction(3, 4))) is None
+
+
+@pytest.mark.parametrize("sigma", range(1, 9))
+@pytest.mark.parametrize("k", range(2, 11))
+def test_scan_matches_the_exact_roots_at_n_100(k, sigma):
+    """At n = 100 (c = 1/2, alpha = 9/10) the net is a degree-99
+    polynomial with rational Bernstein coefficients, so its interior
+    roots are isolated exactly. The search finds the exact regime and
+    the exact number of interior roots, each inside its exact piece."""
+    coeffs = regular_net_coefficients(100, k, Fraction(1, 2), Fraction(9, 10), Fraction(sigma))
+    pieces = root_pieces(coeffs)
+    assert pieces is not None
+    regime = "mixed" if pieces else "dominant_defect" if coeffs[0] < 0 else "dominant_volunteer"
+    report = find_equilibria(truth_net(TruthGameParams(threshold=k, shared_reward=float(sigma))))
+    assert report.regime == regime
+    roots = [e.x for e in report.equilibria if 0.0 < e.x < 1.0]
+    assert len(roots) == len(pieces), (roots, pieces)
+    for x, (lo, hi) in zip(roots, pieces):
+        assert lo < Fraction(x) < hi, (x, lo, hi)
 
 
 # ---------------------------------------------------------------- sampling

@@ -160,13 +160,11 @@ def test_strict_mode_shifts_the_needed_count():
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_per_role_payoffs_mix_one_sequence(monkeypatch):
-    """Each per-role average of the validation game mixes only its own
-    gain sequence, one per kernel call, and keeps the bits it had as one
-    row of a two-sequence mix of both roles. The fake side has no
-    per-role average: a known turnout goes through expected_fake_payoffs
-    (see `against` and the tests above that use it)."""
-    import vodgame.truth
+def test_per_role_payoffs_are_the_pairs_rows():
+    """Each per-role average of the validation game is the bits of its
+    row of payoff_pair_regular. The fake side has no per-role average: a
+    known turnout goes through expected_fake_payoffs (see `against` and
+    the tests above that use it)."""
     from vodgame.truth import (
         TruthGameParams,
         avg_payoff_defector,
@@ -178,16 +176,7 @@ def test_per_role_payoffs_mix_one_sequence(monkeypatch):
     truth = TruthGameParams()
     pair = payoff_pair_regular(xs, truth)
     want = [pair.volunteer_avg, pair.defector_avg]
-    sequences = []
-
-    def spy(gains, n, x, real=vodgame.truth.mix):
-        out = real(gains, n, x)
-        sequences.append(len(out))
-        return out
-
-    monkeypatch.setattr(vodgame.truth, "mix", spy)
     got = [avg_payoff_volunteer(xs, truth), avg_payoff_defector(xs, truth)]
-    assert sequences == [1] * len(got)
     for g, w in zip(got, want, strict=True):
         assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
