@@ -23,7 +23,9 @@ rows, at most one tile of mix's sums, are built whole: at n = 100 the
 window arithmetic costs more than the entries it skips. Inside a window,
 tile rounding and the bound's slack still leave entries below the
 threshold (31% of those built for a 2048-point grid at n = 10^4), which
-skip exp.
+skip exp. The log C(n, m) the entries take is built and cached in blocks
+of 2^16 counts, only the blocks a call reads, so a window at n = 10^6
+builds one or two 512 KB blocks, not the 8 MB row.
 
 mix works through its points in blocks, as many points as 2^16 entries of
 whole rows hold (one from n = 2^15 on), each block over the tile-aligned
@@ -49,7 +51,8 @@ import numpy as np
 __all__ = ["require_probability", "pmf_row", "mix"]
 
 # whole-row pmf entries a block of mix's points holds (512 KB), so no
-# temporary grows with the grid; _log_factorials works in blocks of it too
+# temporary grows with the grid; n's row of log C(n, m) is built and cached
+# in blocks of it too, and only the blocks a call reads
 _BLOCK_ENTRIES = 1 << 16
 _TILE = 1 << 10  # aligned counts that mix sums as one piece; see mix
 # pmf entries with a log below it read 0.0; it also sets the windows' bound
@@ -98,29 +101,47 @@ def _require_count(value, name: str) -> None:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
-def _log_factorials(n: int) -> np.ndarray:
-    """log m! for m = 0..n: exact factorials up to m = 12, the Stirling
-    series above, built in blocks so no temporary grows with n."""
-    out = np.empty(n + 1)
-    exact = min(n, 12) + 1
-    out[:exact] = np.log([float(math.factorial(m)) for m in range(exact)])
-    for lo in range(13, n + 1, _BLOCK_ENTRIES):
-        x = np.arange(lo + 1.0, min(lo + _BLOCK_ENTRIES, n + 1) + 1.0)  # m + 1
+def _log_factorials(lo: int, hi: int) -> np.ndarray:
+    """log m! for m = lo..hi-1: exact factorials up to m = 12, the Stirling
+    series above, built in blocks so no temporary grows with hi - lo."""
+    out = np.empty(hi - lo)
+    exact = range(lo, min(hi, 13))
+    out[: len(exact)] = np.log([float(math.factorial(m)) for m in exact])
+    for a in range(max(lo, 13), hi, _BLOCK_ENTRIES):
+        x = np.arange(a + 1.0, min(a + _BLOCK_ENTRIES, hi) + 1.0)  # m + 1
         p = 1.0 / (x * x)
         series = np.full_like(x, _STIRLING[0])
         for c in _STIRLING[1:]:
             series *= p
             series += c
-        out[lo : lo + x.size] = (x - 0.5) * np.log(x) - x + _LOG_SQRT_2PI + series / x
+        out[a - lo : a - lo + x.size] = (x - 0.5) * np.log(x) - x + _LOG_SQRT_2PI + series / x
     return out
 
 
 @lru_cache(maxsize=32)
-def _log_choose_row(n: int) -> np.ndarray:
-    lg = _log_factorials(n)
-    row = lg[-1] - lg - lg[::-1]
-    row.setflags(write=False)
-    return row
+def _log_choose_block(n: int, b: int) -> np.ndarray:
+    # log C(n, m) = lg[n] - lg[m] - lg[n - m], lg[m] = log m!, for the counts
+    # m of block b, read-only
+    lo = b * _BLOCK_ENTRIES
+    hi = min(lo + _BLOCK_ENTRIES, n + 1)
+    block = _log_factorials(n, n + 1)[0] - _log_factorials(lo, hi)
+    block -= _log_factorials(n + 1 - hi, n + 1 - lo)[::-1]
+    block.setflags(write=False)
+    return block
+
+
+def _log_choose(n: int, lo: int, hi: int) -> np.ndarray:
+    # log C(n, m) for m = lo..hi-1, lo < hi: one block's slice, or the
+    # blocks' slices joined where the span crosses a block seam
+    first, last = lo // _BLOCK_ENTRIES, (hi - 1) // _BLOCK_ENTRIES
+    if first == last:
+        base = first * _BLOCK_ENTRIES
+        return _log_choose_block(n, first)[lo - base : hi - base]
+    parts = []
+    for b in range(first, last + 1):
+        base = b * _BLOCK_ENTRIES
+        parts.append(_log_choose_block(n, b)[max(lo - base, 0) : hi - base])
+    return np.concatenate(parts)
 
 
 def _pmf_block(n: int, xs: np.ndarray, lo: int, hi: int, out, log, mask) -> np.ndarray:
@@ -130,7 +151,7 @@ def _pmf_block(n: int, xs: np.ndarray, lo: int, hi: int, out, log, mask) -> np.n
     # entries whose log reaches _FLOOR, the others are +0.0
     m = np.arange(lo, hi, dtype=np.float64)
     np.multiply(np.maximum(np.log(xs), _LOG0)[:, None], m, out=log)
-    log += _log_choose_row(n)[lo:hi]
+    log += _log_choose(n, lo, hi)
     log += np.multiply(np.maximum(np.log1p(-xs), _LOG0)[:, None], n - m, out=out)
     out.fill(0.0)
     return np.exp(log, out=out, where=np.greater_equal(log, _FLOOR, out=mask))

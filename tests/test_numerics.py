@@ -16,7 +16,7 @@ from exact_binomial import exact_pmf
 from vodgame import numerics
 from vodgame.equilibrium import find_equilibria
 from vodgame.numerics import (
-    _log_choose_row,
+    _log_choose,
     _log_factorials,
     _windows,
     mix,
@@ -45,7 +45,7 @@ def _exp_on_every_entry(pmf_block):
 
 
 def test_log_factorials_are_exact_up_to_12():
-    got = _log_factorials(12)
+    got = _log_factorials(0, 13)
     for m in range(13):
         assert got[m] == math.log(math.factorial(m))
 
@@ -55,7 +55,7 @@ def test_log_factorials_match_lgamma_up_to_a_million():
     it takes over (13) and the seam between its first two blocks."""
     fixed = [13, 14, 100, 999, 1000, 13 + 2**16 - 1, 13 + 2**16, 10**6 - 1, 10**6]
     sampled = np.random.default_rng(0).integers(13, 10**6, size=2000).tolist()
-    got = _log_factorials(10**6)
+    got = _log_factorials(0, 10**6 + 1)
     for m in fixed + sampled:
         want = math.lgamma(m + 1)
         assert abs(got[m] - want) <= 1e-15 * want, m
@@ -63,8 +63,27 @@ def test_log_factorials_match_lgamma_up_to_a_million():
 
 @pytest.mark.parametrize("n", [0, 1, 12, 13])
 def test_log_factorial_rows_have_n_plus_one_entries(n):
-    assert _log_factorials(n).shape == (n + 1,)
+    assert _log_factorials(0, n + 1).shape == (n + 1,)
     assert pmf_row(n, 0.5).shape == (n + 1,)
+
+
+@pytest.mark.parametrize("n", [65535, 65536, 65537, 2 * 10**5 + 3, 10**6])
+def test_log_choose_blocks_match_the_whole_row(n):
+    """log C(n, m) is built and cached in blocks of 2^16 counts; a span
+    inside one block, across one or more block seams, or over the whole
+    row is bitwise the formula on log m! computed for the whole row."""
+    lg = _log_factorials(0, n + 1)
+    block = numerics._BLOCK_ENTRIES
+    spans = [(0, 1), (3, 40), (n - 20, n + 1), (n, n + 1), (0, n + 1)]
+    for seam in range(block, n + 1, block):
+        spans += [(seam - 1, seam), (seam, seam + 1), (seam - 1, seam + 1)]
+        spans.append((seam - 700, seam + 300))
+    if n >= 2 * block:
+        spans.append((block - 5, 2 * block + 5))
+    for lo, hi in spans:
+        hi = min(hi, n + 1)
+        want = lg[n] - lg[lo:hi] - lg[n + 1 - hi : n + 1 - lo][::-1]
+        assert np.array_equal(_bits(_log_choose(n, lo, hi)), _bits(want)), (lo, hi)
 
 
 # ---------------------------------------------------------------- pmf
@@ -158,7 +177,7 @@ def test_pmf_row_window_drops_only_exact_zeros(n):
     for x in (0.0, 1.0, 5e-324, 1e-9, 5e-6, 0.3, 0.5, 1.0 - 1e-7):
         with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
             log_x, log_1mx = np.log([x]), np.log1p([-x])
-            whole = np.exp((m * log_x + _log_choose_row(n)) + (n - m) * log_1mx)
+            whole = np.exp((m * log_x + _log_choose(n, 0, n + 1)) + (n - m) * log_1mx)
         whole[np.isnan(whole)] = 1.0  # 0^0 = 1 at x = 0 or 1
         row = pmf_row(n, x)
         normal = whole >= np.finfo(float).tiny
@@ -244,7 +263,7 @@ def test_workspace_fits_the_blocks_a_call_builds():
     from vodgame.truth import TruthGameParams, net_payoff_regular
 
     params = TruthGameParams(n_regular=10**6, threshold=60, shared_reward=500.0)
-    net_payoff_regular(6e-5, params)  # caches the row of log C(n, m)
+    net_payoff_regular(6e-5, params)  # caches the block of log C(n, m)
     tracemalloc.start()
     try:
         net_payoff_regular(6e-5, params)
@@ -252,6 +271,30 @@ def test_workspace_fits_the_blocks_a_call_builds():
     finally:
         tracemalloc.stop()
     assert peak < numerics._BLOCK_ENTRIES * 8
+
+
+def test_first_call_at_large_n_builds_only_the_blocks_it_reads():
+    """The first payoff at an n builds log C(n, m) only for the block of
+    2^16 counts its window reads, not the whole 8 MB row at n ~ 10^6: each
+    cold 1-point call, at an n no other test uses, peaks below 6 MB."""
+    import tracemalloc
+
+    from vodgame.fake import FakeGameParams, expected_net_payoff_fake
+    from vodgame.truth import TruthGameParams, net_payoff_regular
+
+    truth = TruthGameParams(n_regular=10**6 - 3, threshold=60, shared_reward=500.0)
+    calls = (
+        lambda: net_payoff_regular(6e-5, truth),
+        lambda: expected_net_payoff_fake(0.3, 5e-6, 10**6 - 5, FakeGameParams()),
+    )
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 def test_mix_reads_gains_once_inside_its_windows():
