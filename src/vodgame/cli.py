@@ -17,18 +17,21 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import get_args, get_type_hints
 
+import numpy as np
+
 from .equilibrium import (
     DEGENERATE,
     STABLE,
     UNSTABLE,
     RegimeReport,
-    find_equilibria,
+    _search,
     sample_curve,
     stable_equilibrium,
 )
-from .fake import FakeGameParams, TailMode, expected_fake_payoffs, expected_net_payoff_fake
+from .fake import FakeGameParams, TailMode, _net as _fake_net, expected_fake_payoffs
+from .numerics import mix
 from .oracle import simulate_fake, simulate_truth
-from .truth import TruthGameParams, net_payoff_regular, payoff_pair_regular
+from .truth import TruthGameParams, _net as _truth_net, payoff_pair_regular
 
 CURVE_HEADER = "x,volunteer_avg,defector_avg,net"
 SWEEP_HEADER = "swept_name,swept_value,x,net"
@@ -185,9 +188,9 @@ def _truth_params(cfg: RunConfig) -> TruthGameParams:
 
 @dataclass(frozen=True)
 class _Model:
-    """A run's model, library functions bound to its game: its PayoffPair
-    and net payoff at x, a float or an array; the point simulate checks;
-    and simulate(trials=, seed=), the Monte Carlo run's SimResult there."""
+    """A run's model, bound to its game: its PayoffPair at x, a float or an
+    array; net(), its net as mix's (gains, degree); the point simulate
+    checks; and simulate(trials=, seed=), the Monte Carlo run's SimResult there."""
 
     pair: object
     net: object
@@ -201,7 +204,7 @@ def _model_fns(cfg: RunConfig) -> _Model:
     if cfg.model == "truth":
         params = _truth_params(cfg)
         return _Model(partial(payoff_pair_regular, params=params),
-                      partial(net_payoff_regular, params=params),
+                      partial(_truth_net, params),
                       cfg.x, partial(simulate_truth, params, cfg.x))
     params = FakeGameParams(n_fake=cfg.f, cost_volunteer_fake=cfg.cf, cost_failure=cfg.alpha,
                             strict_dominance=cfg.strict_dominance)
@@ -214,7 +217,7 @@ def _model_fns(cfg: RunConfig) -> _Model:
     game = {"p_star": p_star, "n_regular": cfg.n, "params": params}
     tail = TailMode(cfg.tail)
     return _Model(partial(expected_fake_payoffs, **game, tail=tail),
-                  partial(expected_net_payoff_fake, **game, tail=tail),
+                  partial(_fake_net, **game, tail=tail),
                   cfg.xf, partial(simulate_fake, **game, x_f=cfg.xf))
 
 
@@ -242,7 +245,7 @@ def cmd_curve(cfg: RunConfig, out: str | None) -> int:
 
 
 def cmd_equilibria(cfg: RunConfig) -> int:
-    report = find_equilibria(_model_fns(cfg).net, cfg.grid, cfg.tol)
+    (report,) = _search(partial(mix, *_model_fns(cfg).net()), 1, cfg.grid, cfg.tol)
     roots = [{"x": e.x, "slope": e.slope, "stability": e.stability} for e in report.equilibria]
     print(json.dumps({"regime": report.regime, "equilibria": roots}, indent=2))
     return 0
@@ -258,15 +261,18 @@ def run_sweep(base: RunConfig, name: str, values: tuple):
     """Sample the net and find the equilibria of base with the field
     name set to each of values in turn: a list of (value, (xs, net),
     RegimeReport) in the order of values, (xs, net) as sample_curve
-    returns it. The curve samples the same net function the search scans."""
-    results = []
-    for value in values:
-        cfg = replace(base, **{name: value})
-        model = _model_fns(cfg)
-        curve = sample_curve(model.net, (cfg.xmin, cfg.xmax), cfg.points)
-        report = find_equilibria(model.net, cfg.grid, cfg.tol)
-        results.append((value, curve, report))
-    return results
+    returns it. The curve samples the same net function the search scans.
+    The nets of one degree, all but across n in the truth model or f in
+    the fake one, are mixed as one batch: one curve and one search each."""
+    nets = [_model_fns(replace(base, **{name: value})).net() for value in values]
+    results = {}
+    for degree in {degree for _, degree in nets}:
+        group = [i for i, net in enumerate(nets) if net[1] == degree]
+        batch = partial(mix, lambda m: np.concatenate([nets[i][0](m) for i in group]), degree)
+        xs, curves = sample_curve(batch, (base.xmin, base.xmax), base.points)
+        for i, curve, report in zip(group, curves, _search(batch, len(group), base.grid, base.tol)):
+            results[i] = (values[i], (xs, curve), report)
+    return [results[i] for i in range(len(values))]
 
 
 def _sweep_csvs(swept_name: str, results) -> tuple[str, str]:

@@ -56,13 +56,81 @@ class RegimeReport:
     peak: tuple[float, float]
 
 
-def _values(net_fn: Callable, xs: np.ndarray) -> np.ndarray:
-    # net_fn at every x of xs (a scalar result counts for all of them)
-    ys = np.broadcast_to(np.asarray(net_fn(xs), dtype=np.float64), xs.shape)
-    nan = np.isnan(ys)
+def _values(nets: Callable, xs: np.ndarray, count: int) -> np.ndarray:
+    # count nets' values at xs as a (count, xs.size) array; a value or a row counts for all
+    ys = np.broadcast_to(np.asarray(nets(xs), dtype=np.float64), (count, xs.size))
+    nan = np.isnan(ys).any(axis=0)
     if nan.any():
         raise ValueError(f"net_fn returned NaN at x={float(xs[nan.argmax()])!r}")
     return ys
+
+
+def _search(nets: Callable, count: int, grid_points: int, tol: float) -> list[RegimeReport]:
+    # find_equilibria on count nets at once, a report for each: every call takes
+    # the points of all nets' brackets, and each bracket reads its owner's row
+    if grid_points < 2:
+        raise ValueError("grid_points must be >= 2")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    xs = np.linspace(0.0, 1.0, grid_points)
+    ys = _values(nets, xs, count)
+    sign = np.sign(ys)
+    owner, left = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
+    lo, hi = xs[left], xs[left + 1]
+    lo_sign = sign[owner, left]
+    while True:
+        # the midpoint, cut 8 bit for bit: a float lies strictly inside iff it
+        # does, and then every step shrinks its bracket
+        mid = lo + (hi - lo) * 0.5
+        live = np.flatnonzero((hi - lo > tol) & (lo < mid) & (mid < hi))
+        if live.size == 0:
+            break
+        a, b, s = lo[live], hi[live], lo_sign[live]
+        cuts = a[:, None] + (b - a)[:, None] * _CUTS
+        cuts[:, -1] = b
+        rows = np.arange(live.size)
+        inner = _values(nets, cuts[:, 1:-1].ravel(), count).reshape(count, live.size, -1)
+        side = np.empty((live.size, _SECTIONS))
+        side[:, :-1] = np.sign(inner[owner[live], rows])
+        side[:, -1] = -s  # hi is on the other side
+        j = (side != s[:, None]).argmax(axis=1)  # first right end off lo's side
+        right = cuts[rows, j + 1]
+        lo[live] = np.where(side[rows, j] == 0.0, right, cuts[rows, j])
+        hi[live] = right
+    mids = 0.5 * (lo + hi)
+    roots = []  # (net, x), by net and ascending, one of any two within tol
+    for i in range(count):
+        for r in np.sort(np.concatenate((xs[sign[i] == 0.0], mids[owner == i]))).tolist():
+            if not roots or roots[-1][0] != i or abs(r - roots[-1][1]) >= tol:
+                roots.append((i, r))
+    eqs = [[] for _ in range(count)]
+    if roots:
+        net, r = map(np.array, zip(*roots))
+        below, above = np.maximum(r - _SLOPE_STEP, 0.0), np.minimum(r + _SLOPE_STEP, 1.0)
+        ends = _values(nets, np.concatenate((below, above)), count)
+        at = np.arange(r.size)
+        slopes = (ends[net, at + r.size] - ends[net, at]) / (above - below)
+        for (i, x), slope in zip(roots, slopes.tolist()):
+            band = _SLOPE_EPSILON * float(np.abs(ys[i]).max())
+            if x == 0.0 or x == 1.0:
+                stability = DEGENERATE
+            elif slope < -band:
+                stability = STABLE
+            elif slope > band:
+                stability = UNSTABLE
+            else:
+                stability = DEGENERATE
+            eqs[i].append(Equilibrium(x, slope, stability))
+    reports = []
+    for row, found in zip(ys, eqs):
+        best = int(row.argmax())  # the first largest value
+        peak = (float(xs[best]), float(row[best]))
+        if any(0.0 < e.x < 1.0 for e in found) or peak[1] > 0.0 and row.min() < 0.0:
+            regime = "mixed"
+        else:
+            regime = "dominant_defect" if peak[1] <= 0.0 else "dominant_volunteer"
+        reports.append(RegimeReport(tuple(found), regime, peak))
+    return reports
 
 
 def find_equilibria(
@@ -88,72 +156,10 @@ def find_equilibria(
     -band the root is stable (deviations die out), above +band
     unstable; anything inside the band, and any exact zero at x=0 or
     x=1, is reported as degenerate. The report's peak is read off the
-    same grid values.
+    same grid values. It is the search a sweep runs on the nets of one
+    degree at once (see cli's run_sweep), here on net_fn alone.
     """
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    xs = np.linspace(0.0, 1.0, grid_points)
-    ys = _values(net_fn, xs)
-    best = int(ys.argmax())  # the first largest value
-    peak = (float(xs[best]), float(ys[best]))
-    sign = np.sign(ys)
-    left = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
-    lo, hi = xs[left], xs[left + 1]
-    lo_sign = sign[left]
-    while True:
-        # the midpoint, cut 8 bit for bit: a float lies strictly inside iff it
-        # does, and then every step shrinks its bracket
-        mid = lo + (hi - lo) * 0.5
-        live = np.flatnonzero((hi - lo > tol) & (lo < mid) & (mid < hi))
-        if live.size == 0:
-            break
-        a, b, s = lo[live], hi[live], lo_sign[live]
-        cuts = a[:, None] + (b - a)[:, None] * _CUTS
-        cuts[:, -1] = b
-        side = np.empty((live.size, _SECTIONS))
-        side[:, :-1] = np.sign(_values(net_fn, cuts[:, 1:-1].ravel())).reshape(live.size, -1)
-        side[:, -1] = -s  # hi is on the other side
-        j = (side != s[:, None]).argmax(axis=1)  # first right end off lo's side
-        rows = np.arange(live.size)
-        right = cuts[rows, j + 1]
-        lo[live] = np.where(side[rows, j] == 0.0, right, cuts[rows, j])
-        hi[live] = right
-    found = np.sort(np.concatenate((xs[sign == 0.0], 0.5 * (lo + hi))))
-    roots: list[float] = []
-    for r in found.tolist():
-        if not roots or abs(r - roots[-1]) >= tol:
-            roots.append(r)
-
-    eqs = []
-    if roots:
-        band = _SLOPE_EPSILON * float(np.abs(ys).max())
-        r = np.array(roots)
-        below, above = np.maximum(r - _SLOPE_STEP, 0.0), np.minimum(r + _SLOPE_STEP, 1.0)
-        ends = _values(net_fn, np.concatenate((below, above)))
-        slopes = (ends[r.size :] - ends[: r.size]) / (above - below)
-        for x, slope in zip(roots, slopes.tolist()):
-            if x == 0.0 or x == 1.0:
-                stability = DEGENERATE
-            elif slope < -band:
-                stability = STABLE
-            elif slope > band:
-                stability = UNSTABLE
-            else:
-                stability = DEGENERATE
-            eqs.append(Equilibrium(x, slope, stability))
-
-    interior = [e for e in eqs if not (e.x == 0.0 or e.x == 1.0)]
-    if interior:
-        regime = "mixed"
-    elif peak[1] <= 0.0:
-        regime = "dominant_defect"
-    elif ys.min() >= 0.0:
-        regime = "dominant_volunteer"
-    else:
-        regime = "mixed"
-    return RegimeReport(tuple(eqs), regime, peak)
+    return _search(net_fn, 1, grid_points, tol)[0]
 
 
 def stable_equilibrium(

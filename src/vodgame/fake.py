@@ -110,6 +110,11 @@ def _turnout(p_star: float, n_regular: int, params: FakeGameParams, tail: TailMo
     return weights
 
 
+def _net(p_star: float, n_regular: int, params: FakeGameParams, tail: TailMode):
+    # the net as mix's (gains, degree), its turnout built once
+    return _net_gains(_turnout(p_star, n_regular, params, tail), params), params.n_fake - 1
+
+
 def expected_fake_payoffs(
     x_f,
     p_star: float,
@@ -145,5 +150,4 @@ def expected_net_payoff_fake(
     rounding, not bit for bit.
     """
     x_f = require_probability(x_f, "x_f")
-    weights = _turnout(p_star, n_regular, params, tail)
-    return mix(_net_gains(weights, params), params.n_fake - 1, x_f)[0]
+    return mix(*_net(p_star, n_regular, params, tail), x_f)[0]

@@ -28,16 +28,17 @@ of 2^16 counts, only the blocks a call reads, so a window at n = 10^6
 builds one or two 512 KB blocks, not the 8 MB row.
 
 mix works through its points in blocks, as many points as 2^16 entries of
-whole rows hold (one from n = 2^15 on), each block over the tile-aligned
-union of its points' windows, in a workspace it allocates once per call,
-sized for the widest block: one float buffer takes a block's log pmf and
-then the block's products with every gain sequence, one takes the pmf,
-and a boolean one marks the entries exp runs on. Per block, one multiply
-forms the products of all sequences, one reduce sums every full tile of
-1024 counts and one more a partial last tile, and the tile sums are added
-in count order: the same sums, in the same order, as a loop over tiles
-and sequences. No array mix or pmf_row returns shares memory with the
-workspace.
+whole rows hold (one from n = 2^15 on; below one tile of counts, entries
+times sequences, so a batch of sequences takes no larger workspace than
+one), each block over the tile-aligned union of its points' windows, in a
+workspace it allocates once per call, sized for the widest block: one
+float buffer takes a block's log pmf and then the block's products with
+every gain sequence, one takes the pmf, and a boolean one marks the
+entries exp runs on. Per block, one multiply forms the products of all
+sequences, one reduce sums every full tile of 1024 counts and one more a
+partial last tile, and the tile sums are added in count order: the same
+sums, in the same order, as a loop over tiles and sequences. No array mix
+or pmf_row returns shares memory with the workspace.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ import numpy as np
 
 __all__ = ["require_probability", "pmf_row", "mix"]
 
-# whole-row pmf entries a block of mix's points holds (512 KB), so no
-# temporary grows with the grid; n's row of log C(n, m) is built and cached
-# in blocks of it too, and only the blocks a call reads
+# whole-row pmf entries (times sequences below one tile) a block of mix's
+# points holds (512 KB), so no temporary grows with the grid; n's row of
+# log C(n, m) is built and cached in blocks of it too, and only the blocks
+# a call reads
 _BLOCK_ENTRIES = 1 << 16
 _TILE = 1 << 10  # aligned counts that mix sums as one piece; see mix
 # pmf entries with a log below it read 0.0; it also sets the windows' bound
@@ -130,18 +132,12 @@ def _log_choose_block(n: int, b: int) -> np.ndarray:
     return block
 
 
-def _log_choose(n: int, lo: int, hi: int) -> np.ndarray:
-    # log C(n, m) for m = lo..hi-1, lo < hi: one block's slice, or the
-    # blocks' slices joined where the span crosses a block seam
-    first, last = lo // _BLOCK_ENTRIES, (hi - 1) // _BLOCK_ENTRIES
-    if first == last:
-        base = first * _BLOCK_ENTRIES
-        return _log_choose_block(n, first)[lo - base : hi - base]
-    parts = []
-    for b in range(first, last + 1):
+def _add_log_choose(n: int, lo: int, hi: int, log: np.ndarray) -> None:
+    # adds log C(n, m), m = lo..hi-1, to each row of log, block by block
+    for b in range(lo // _BLOCK_ENTRIES, (hi - 1) // _BLOCK_ENTRIES + 1):
         base = b * _BLOCK_ENTRIES
-        parts.append(_log_choose_block(n, b)[max(lo - base, 0) : hi - base])
-    return np.concatenate(parts)
+        a, z = max(lo, base), min(hi, base + _BLOCK_ENTRIES)
+        log[:, a - lo : z - lo] += _log_choose_block(n, b)[a - base : z - base]
 
 
 def _pmf_block(n: int, xs: np.ndarray, lo: int, hi: int, out, log, mask) -> np.ndarray:
@@ -151,7 +147,7 @@ def _pmf_block(n: int, xs: np.ndarray, lo: int, hi: int, out, log, mask) -> np.n
     # entries whose log reaches _FLOOR, the others are +0.0
     m = np.arange(lo, hi, dtype=np.float64)
     np.multiply(np.maximum(np.log(xs), _LOG0)[:, None], m, out=log)
-    log += _log_choose(n, lo, hi)
+    _add_log_choose(n, lo, hi, log)
     log += np.multiply(np.maximum(np.log1p(-xs), _LOG0)[:, None], n - m, out=out)
     out.fill(0.0)
     return np.exp(log, out=out, where=np.greater_equal(log, _FLOOR, out=mask))
@@ -206,7 +202,8 @@ def mix(gains, n: int, xs) -> np.ndarray:
     gains(m) takes a sorted int array of counts and returns a 2-D array
     with one row per gain sequence, the gains at those counts. mix calls
     it once per call: from n = 1024 on for the counts its pmf blocks
-    cover followed by n, below that for the whole row 0..n.
+    cover followed by n, below that for the whole row 0..n. Each row of
+    the result is bitwise that sequence mixed alone.
 
     It is summed as g[n] + sum_m (g[m] - g[n]) * P[M = m]. At n = 10^6
     a pmf row's mass misses 1 by up to 5e-10; a plain sum passes that on
@@ -230,14 +227,16 @@ def mix(gains, n: int, xs) -> np.ndarray:
     """
     xs = np.asarray(require_probability(xs, "x"))
     flat = xs.ravel()
-    step = max(1, _BLOCK_ENTRIES // (n + 1))
-    starts = range(0, flat.size, step)
     # each block's first count, end count and column of its first count in g
     if n < _TILE:  # below one tile of counts every block covers the whole row
-        m = np.arange(n + 1)
+        g = gains(np.arange(n + 1))
+        step = max(1, _BLOCK_ENTRIES // ((n + 1) * len(g)))
+        starts = range(0, flat.size, step)
         spans = [(0, n + 1, 0)] * len(starts)
         width = n + 1
     else:
+        step = max(1, _BLOCK_ENTRIES // (n + 1))
+        starts = range(0, flat.size, step)
         firsts, ends = _windows(n, flat)
         firsts = np.minimum.reduceat(firsts, starts) // _TILE * _TILE
         ends = np.minimum(-(-np.maximum.reduceat(ends, starts) // _TILE) * _TILE, n + 1)
@@ -252,7 +251,7 @@ def mix(gains, n: int, xs) -> np.ndarray:
                 runs.append([first, end])
         m = np.concatenate([np.arange(a, min(b, n)) for a, b in runs] + [[n]])
         spans = zip(firsts.tolist(), ends.tolist(), np.searchsorted(m, firsts).tolist())
-    g = gains(m)
+        g = gains(m)
     offsets = g - g[:, -1:]
     seqs = len(g)
     out = np.zeros((seqs, flat.size))

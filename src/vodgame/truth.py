@@ -100,6 +100,10 @@ def _net_gains(params: TruthGameParams):
     return lambda m: np.subtract(*gains(m))[None]
 
 
+def _net(params: TruthGameParams):  # the net as mix's (gains, degree)
+    return _net_gains(params), params.n_regular - 1
+
+
 def payoff_pair_regular(x, params: TruthGameParams) -> PayoffPair:
     """Average volunteer and defector payoffs when each of the other
     n_regular-1 agents volunteers independently with probability x
@@ -133,4 +137,4 @@ def net_payoff_regular(x, params: TruthGameParams) -> float:
     defector's, so it agrees with payoff_pair_regular(x, params).net to
     rounding, not bit for bit.
     """
-    return mix(_net_gains(params), params.n_regular - 1, x)[0]
+    return mix(*_net(params), x)[0]

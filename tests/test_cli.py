@@ -626,26 +626,23 @@ def test_reproduce_reports_pin_their_checks(tmp_path, figure, checks):
 
 
 def test_reproduce_fig3_reads_max_net_off_the_search(tmp_path, monkeypatch):
-    """Each p*'s max net and its x_f are the peak of that sweep's search,
-    so the fake net is evaluated by the searches, 8 calls for each of 4
-    p* in 2 modes, and once more for each 201-point curve. None of them
+    """Each p*'s max net and its x_f are the peak of that sweep's search.
+    Each mode's 4 p* nets are mixed together in every kernel call: 8
+    search calls and one for the 201-point curve per mode. None of them
     is on a separate fine grid, and the pair is never evaluated."""
     import vodgame.cli
-
-    sizes = []
-
-    def counted(x, real=vodgame.cli.expected_net_payoff_fake, **game):
-        sizes.append(np.size(x))
-        return real(x, **game)
+    from test_equilibrium import mix_calls
 
     def pair(*args, **game):
         raise AssertionError("reproduce fig3 evaluated the pair")
 
-    monkeypatch.setattr(vodgame.cli, "expected_net_payoff_fake", counted)
     monkeypatch.setattr(vodgame.cli, "expected_fake_payoffs", pair)
+    calls = mix_calls(monkeypatch)
     report = reproduce_report(tmp_path, "fig3")
-    assert len(sizes) == 72
-    assert sizes.count(201) == 8
+    assert len(calls) == 18
+    assert {count for count, _ in calls} == {4}
+    sizes = [size for _, size in calls]
+    assert sizes.count(201) == 2
     assert 4097 not in sizes
     for tail in TailMode:
         for p_star in (0.04, 0.06, 0.08, 0.10):

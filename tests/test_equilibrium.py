@@ -1,6 +1,7 @@
 """Root finding and classification on the game's net-payoff curves."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -442,33 +443,143 @@ def test_fake_curve_has_positive_region_at_low_turnout():
 # ---------------------------------------------------------------- net sequences
 
 
+def mix_calls(monkeypatch) -> list:
+    """(sequences, points) of every numerics.mix call from here on, by a
+    spy put wherever the package binds mix."""
+    import sys
+
+    import vodgame.cli
+    from vodgame import numerics
+
+    calls = []
+    real = numerics.mix
+
+    def spy(gains, n, xs):
+        out = real(gains, n, xs)
+        calls.append((len(out), np.size(xs)))
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vodgame") and getattr(module, "mix", None) is real:
+            monkeypatch.setattr(module, "mix", spy)
+    assert getattr(vodgame.cli, "mix", spy) is spy
+    return calls
+
+
 def test_searches_mix_one_sequence(monkeypatch, capsys):
-    """Every search mixes the net's own gain sequence, one per kernel
-    call: the library searches of both games, stable_equilibrium, the
-    CLI's equilibria and its sweeps, whose curves sample the net too. A
-    curve of the pair mixes the volunteer and the defector."""
-    import vodgame.fake
-    import vodgame.truth
+    """Every search mixes the nets' own gain sequences, one per net and
+    all of a sweep's nets in each kernel call: a one-net search of
+    either game, stable_equilibrium and the CLI's equilibria mix one
+    sequence per call, and a sweep of 4 values mixes 4 per call, for its
+    curve too. No search mixes the volunteer/defector pair; a curve of
+    the pair mixes both."""
     from vodgame.cli import RunConfig, main, run_sweep
 
-    sequences = []
-    for module in (vodgame.truth, vodgame.fake):
-        def spy(gains, n, xs, real=module.mix):
-            out = real(gains, n, xs)
-            sequences.append(len(out))
-            return out
+    calls = mix_calls(monkeypatch)
 
-        monkeypatch.setattr(module, "mix", spy)
-    find_equilibria(truth_net(BASELINE))
+    def sequences(run):
+        calls.clear()
+        run()
+        return {count for count, _ in calls}
+
+    assert sequences(lambda: find_equilibria(truth_net(BASELINE))) == {1}
     for tail in TailMode:
-        find_equilibria(lambda x: expected_net_payoff_fake(x, 0.06, 100, FakeGameParams(), tail))
-    stable_equilibrium(BASELINE)
-    assert main(["equilibria"]) == 0
-    assert main(["equilibria", "--model", "fake"]) == 0
-    run_sweep(RunConfig(), "sigma", (5.0,))
-    run_sweep(RunConfig(model="fake", pstar=0.06), "pstar", (0.04,))
+        net = lambda x: expected_net_payoff_fake(x, 0.06, 100, FakeGameParams(), tail)  # noqa: E731
+        assert sequences(lambda: find_equilibria(net)) == {1}
+    assert sequences(lambda: stable_equilibrium(BASELINE)) == {1}
+    assert sequences(lambda: main(["equilibria"])) == {1}
+    assert sequences(lambda: main(["equilibria", "--model", "fake"])) == {1}
+    sweep = (5.0, 6.0, 7.0, 8.0)
+    assert sequences(lambda: run_sweep(RunConfig(), "sigma", sweep)) == {4}
+    fake = RunConfig(model="fake", pstar=0.06)
+    assert sequences(lambda: run_sweep(fake, "pstar", (0.04, 0.06, 0.08, 0.1))) == {4}
     capsys.readouterr()
-    assert sequences and set(sequences) == {1}
-    sequences.clear()
-    sample_curve(lambda x: payoff_pair_regular(x, BASELINE))
-    assert sequences == [2]
+    assert sequences(lambda: sample_curve(lambda x: payoff_pair_regular(x, BASELINE))) == {2}
+
+
+def _report_bits(report):
+    # every field of a RegimeReport, its floats by their hex form so that
+    # -0.0 and 0.0 differ
+    eqs = [(e.x.hex(), e.slope.hex(), e.stability) for e in report.equilibria]
+    return eqs, report.regime, tuple(v.hex() for v in report.peak)
+
+
+@pytest.mark.parametrize("overrides,name,values", [
+    ({}, "sigma", (5.0, 6.0, 7.0, 8.0)),
+    ({}, "k", (1, 5, 6, 7, 8)),  # 1, 2, 2, 2 and 0 roots at sigma = 5
+    ({"model": "fake", "tail": "full"}, "pstar", (0.04, 0.06, 0.08, 0.10)),
+    ({"model": "fake", "tail": "truncated"}, "pstar", (0.04, 0.06, 0.08, 0.10)),
+    ({"grid": 3}, "k", (5, 6, 7, 8)),
+    ({"grid": 8}, "sigma", (5.0, 6.0, 7.0, 8.0)),
+    ({"grid": 8, "model": "fake"}, "pstar", (0.04, 0.06, 0.08, 0.10)),
+    ({"grid": 100, "tol": 1e-6}, "k", (5, 6, 7, 8)),
+    ({}, "n", (100, 50, 2000, 100)),
+    ({"model": "fake", "pstar": 0.06}, "f", (8, 4, 12)),
+], ids=["fig1", "fig2-roots-0-1-2", "fig3-full", "fig3-truncated", "grid3", "grid8",
+        "fake-grid8", "tol", "n", "f"])
+def test_sweep_batch_equals_one_net_searches_bit_for_bit(overrides, name, values):
+    """A sweep searches the nets of one degree as one batch. Each of its
+    reports, every Equilibrium field, the regime and the peak, and each
+    curve is bit for bit the search and the samples of that net alone,
+    and the CSVs are those of one-value sweeps; sweeps over n or f, whose
+    degrees differ, keep the order of values."""
+    from vodgame.cli import RunConfig, _model_fns, _sweep_csvs, run_sweep
+    from vodgame.numerics import mix
+
+    base = RunConfig(points=201, **overrides)
+    results = run_sweep(base, name, values)
+    assert [value for value, _, _ in results] == list(values)
+    one_by_one = [run_sweep(base, name, (value,))[0] for value in values]
+    assert _sweep_csvs(name, results) == _sweep_csvs(name, one_by_one)
+    for value, (xs, curve), report in results:
+        gains, degree = _model_fns(replace(base, **{name: value})).net()
+        alone = find_equilibria(lambda x: mix(gains, degree, x)[0], base.grid, base.tol)
+        assert _report_bits(report) == _report_bits(alone), value
+        want = mix(gains, degree, xs)[0]
+        assert np.array_equal(curve.view(np.int64), want.view(np.int64)), value
+
+
+def test_batch_equals_one_net_searches_on_exact_zeros():
+    """Nets with an exact zero on the grid, one at a section's cut point,
+    two roots, none, and zero throughout, searched as one batch on a
+    5-point grid, give each net's own report bit for bit."""
+    from vodgame.equilibrium import _search
+
+    nets = [
+        lambda x: x - 0.25,
+        lambda x: x - 0.375,
+        lambda x: (x - 0.2) * (x - 0.7),
+        lambda x: -1.0 - x,
+        lambda x: 0.0 * x,
+    ]
+    for tol, counts in ((1e-10, [1, 1, 2, 0, 5]), (0.3, [1, 1, 2, 0, 3])):
+        batch = _search(lambda x: np.array([net(x) for net in nets]), len(nets), 5, tol)
+        assert [len(report.equilibria) for report in batch] == counts
+        for net, report in zip(nets, batch):
+            assert _report_bits(report) == _report_bits(find_equilibria(net, 5, tol))
+
+
+@pytest.mark.parametrize("tail", list(TailMode))
+def test_fig3_batch_matches_the_exact_roots(tail):
+    """fig3's fake nets, at p* in {0.04, 0.06, 0.08, 0.10} and the binary
+    values of every setting, are degree-7 polynomials with rational
+    Bernstein coefficients alpha P[M = j + 1] - cf T over j = 0..7 peers,
+    T = 1 or, truncated, P[M <= 8]. The batched search of each mode finds
+    the exact number of interior roots, each inside its exact piece."""
+    from exact_binomial import exact_pmf
+
+    from vodgame.cli import RunConfig, run_sweep
+
+    params = FakeGameParams()
+    f, alpha, cf = params.n_fake, Fraction(params.cost_failure), Fraction(params.cost_volunteer_fake)
+    values = (0.04, 0.06, 0.08, 0.10)
+    results = run_sweep(RunConfig(model="fake", tail=tail.value), "pstar", values)
+    for p_star, _, report in results:
+        total = 1 if tail is TailMode.FULL else sum(exact_pmf(100, m, p_star) for m in range(f + 1))
+        coeffs = [alpha * exact_pmf(100, j + 1, p_star) - cf * total for j in range(f)]
+        pieces = root_pieces(coeffs)
+        assert pieces, p_star
+        roots = [e.x for e in report.equilibria if 0.0 < e.x < 1.0]
+        assert len(roots) == len(pieces), (p_star, roots, pieces)
+        for x, (lo, hi) in zip(roots, pieces):
+            assert lo < Fraction(x) < hi, (p_star, x, lo, hi)

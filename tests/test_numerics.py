@@ -16,8 +16,10 @@ from exact_binomial import exact_pmf
 from vodgame import numerics
 from vodgame.equilibrium import find_equilibria
 from vodgame.numerics import (
-    _log_choose,
+    _LOG0,
+    _add_log_choose,
     _log_factorials,
+    _pmf_block,
     _windows,
     mix,
     pmf_row,
@@ -28,6 +30,14 @@ from vodgame.numerics import (
 def _bits(values):
     # a float array's bit patterns, so that -0.0 and 0.0 differ
     return np.ascontiguousarray(values).view(np.int64)
+
+
+def _log_choose(n, lo, hi):
+    # log C(n, m) for m = lo..hi-1 as _pmf_block adds it: into -0.0, which
+    # leaves every float as it is
+    log = np.full((1, hi - lo), -0.0)
+    _add_log_choose(n, lo, hi, log)
+    return log[0]
 
 
 def _exp_on_every_entry(pmf_block):
@@ -71,7 +81,9 @@ def test_log_factorial_rows_have_n_plus_one_entries(n):
 def test_log_choose_blocks_match_the_whole_row(n):
     """log C(n, m) is built and cached in blocks of 2^16 counts; a span
     inside one block, across one or more block seams, or over the whole
-    row is bitwise the formula on log m! computed for the whole row."""
+    row is bitwise the formula on log m! computed for the whole row, and
+    so are the pmf entries _pmf_block builds on the span, each block's
+    slice added in place."""
     lg = _log_factorials(0, n + 1)
     block = numerics._BLOCK_ENTRIES
     spans = [(0, 1), (3, 40), (n - 20, n + 1), (n, n + 1), (0, n + 1)]
@@ -84,6 +96,18 @@ def test_log_choose_blocks_match_the_whole_row(n):
         hi = min(hi, n + 1)
         want = lg[n] - lg[lo:hi] - lg[n + 1 - hi : n + 1 - lo][::-1]
         assert np.array_equal(_bits(_log_choose(n, lo, hi)), _bits(want)), (lo, hi)
+        # the pmf at the span's middle, at its ends and at 0.5, from the
+        # same ops as _pmf_block's over the whole row's log C(n, m)
+        xs = np.minimum([(lo + hi) / 2 / n, lo / n, hi / n, 0.5], 1.0)
+        m = np.arange(lo, hi, dtype=np.float64)
+        with np.errstate(divide="ignore", over="ignore", under="ignore"):
+            log = np.maximum(np.log(xs), _LOG0)[:, None] * m
+            log += want
+            log += np.maximum(np.log1p(-xs), _LOG0)[:, None] * (n - m)
+            entries = np.where(log >= numerics._FLOOR, np.exp(log), 0.0)
+            shape = (xs.size, hi - lo)
+            got = _pmf_block(n, xs, lo, hi, np.empty(shape), np.empty(shape), np.empty(shape, bool))
+        assert np.array_equal(_bits(got), _bits(entries)), (lo, hi)
 
 
 # ---------------------------------------------------------------- pmf
@@ -271,6 +295,26 @@ def test_workspace_fits_the_blocks_a_call_builds():
     finally:
         tracemalloc.stop()
     assert peak < numerics._BLOCK_ENTRIES * 8
+
+
+def test_a_batch_of_sequences_takes_no_larger_workspace():
+    """Below one tile of counts a block of mix's points holds 2^16 entries
+    over all its gain sequences together, so a 2048-point call at n = 100
+    that mixes 4 sequences peaks no higher than one that mixes 1."""
+    import tracemalloc
+
+    gains = np.random.default_rng(0).normal(size=(4, 101))
+    xs = np.linspace(0.0, 1.0, 2048)
+    peaks = []
+    for count in (1, 4):
+        mix(lambda m: gains[:count, m], 100, xs)  # caches the block of log C(n, m)
+        tracemalloc.start()
+        try:
+            mix(lambda m: gains[:count, m], 100, xs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0], peaks
 
 
 def test_first_call_at_large_n_builds_only_the_blocks_it_reads():
