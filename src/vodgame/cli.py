@@ -264,15 +264,20 @@ def run_sweep(base: RunConfig, name: str, values: tuple):
     returns it. The curve samples the same net function the search scans.
     The nets of one degree, all but across n in the truth model or f in
     the fake one, are mixed as one batch: one curve and one search each."""
-    nets = [_model_fns(replace(base, **{name: value})).net() for value in values]
+    return _sweep([replace(base, **{name: value}) for value in values], name)
+
+
+def _sweep(cfgs: list, name: str) -> list:
+    # run_sweep's list for configs that share their curve and search settings
+    nets = [_model_fns(cfg).net() for cfg in cfgs]
     results = {}
     for degree in {degree for _, degree in nets}:
         group = [i for i, net in enumerate(nets) if net[1] == degree]
         batch = partial(mix, lambda m: np.concatenate([nets[i][0](m) for i in group]), degree)
-        xs, curves = sample_curve(batch, (base.xmin, base.xmax), base.points)
-        for i, curve, report in zip(group, curves, _search(batch, len(group), base.grid, base.tol)):
-            results[i] = (values[i], (xs, curve), report)
-    return [results[i] for i in range(len(values))]
+        xs, curves = sample_curve(batch, (cfgs[0].xmin, cfgs[0].xmax), cfgs[0].points)
+        for i, curve, report in zip(group, curves, _search(batch, len(group), cfgs[0].grid, cfgs[0].tol)):
+            results[i] = (getattr(cfgs[i], name), (xs, curve), report)
+    return [results[i] for i in range(len(cfgs))]
 
 
 def _sweep_csvs(swept_name: str, results) -> tuple[str, str]:
@@ -497,11 +502,12 @@ def cmd_reproduce(figure: str, out_dir: str | None, grid: int, tol: float) -> in
         raise ValueError("reproduce writes several files; pass --out DIRECTORY")
     title, name, values, report_lines, sweeps = _FIGURES[figure]
     base = RunConfig(points=_REPRO_POINTS, grid=grid, tol=tol)
+    cfgs = [replace(base, **overrides) for overrides in sweeps.values()]
+    found = _sweep([replace(cfg, **{name: v}) for cfg in cfgs for v in values], name)
     files = {}
     lines = [*title, ""]
-    for prefix, overrides in sweeps.items():
-        cfg = replace(base, **overrides)
-        results = run_sweep(cfg, name, values)
+    for j, (prefix, cfg) in enumerate(zip(sweeps, cfgs)):  # all the sweeps were one batch
+        results = found[j * len(values) : (j + 1) * len(values)]
         files[f"{prefix}_curves.csv"], files[f"{prefix}_summary.csv"] = _sweep_csvs(name, results)
         lines += report_lines(cfg, results)
     files[f"{figure}_report.txt"] = "\n".join(lines) + "\n"
@@ -556,9 +562,13 @@ def _warn_ignored(command: str, given: dict, used: set) -> None:
         print(f"warning: {command} ignores {' and '.join(parts)}", file=sys.stderr)
 
 
+_parser = None  # build_parser()'s, built by the first main() call; parses keep no state
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     try:
         cfg, given = _build_config(args)
         if args.out is not None:

@@ -47,7 +47,7 @@ class FakeGameParams:
     strict_dominance: bool = False
 
     def __post_init__(self) -> None:
-        _require_count(self.n_fake, "n_fake")
+        _require_count(self.n_fake, "n_fake", players=True)
         for name in ("cost_volunteer_fake", "cost_failure"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -88,7 +88,8 @@ def _net_gains(weights: np.ndarray, p: FakeGameParams):
     # mix's gains callable for the net, _gains' row 0 minus row 1 as one term:
     # monotone in the pmf entry, so it rises and falls with the turnout pmf
     lo = 0 if p.strict_dominance else 1  # M = j + lo
-    return lambda m: p.cost_failure * weights[None, m + lo] - p.cost_volunteer_fake * weights.sum()
+    paid = p.cost_volunteer_fake * weights.sum()
+    return lambda m: p.cost_failure * weights[None, m + lo] - paid
 
 
 def _turnout(p_star: float, n_regular: int, params: FakeGameParams, tail: TailMode) -> np.ndarray:
@@ -97,7 +98,7 @@ def _turnout(p_star: float, n_regular: int, params: FakeGameParams, tail: TailMo
     # The mass is summed rather than taken as 1 - kept: a pmf row's mass
     # misses 1 by ~3e-10 at n_regular = 10^6
     p_star = require_probability(p_star, "p_star")
-    _require_count(n_regular, "n_regular")
+    _require_count(n_regular, "n_regular", players=True)
     if n_regular < 1:
         raise ValueError("n_regular must be at least 1")
     f = params.n_fake

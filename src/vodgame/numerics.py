@@ -94,13 +94,16 @@ def require_probability(value, name: str = "probability"):
     return v
 
 
-def _require_count(value, name: str) -> None:
+def _require_count(value, name: str, players: bool = False) -> None:
     # a count or a seed must be a nonnegative int or numpy integer; a bool
-    # or a float, even a whole one, is rejected where it enters
+    # or a float, even a whole one, is rejected where it enters. Players are
+    # at most 2^53, past which the kernel's float64 counts are not exact
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    if players and value > 2**53:
+        raise ValueError(f"{name} must be at most 2**53, got {value!r}")
 
 
 def _log_factorials(lo: int, hi: int) -> np.ndarray:
@@ -153,10 +156,10 @@ def _pmf_block(n: int, xs: np.ndarray, lo: int, hi: int, out, log, mask) -> np.n
     return np.exp(log, out=out, where=np.greater_equal(log, _FLOOR, out=mask))
 
 
-def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # first and end (exclusive) count of each x's Bernstein window for
-    # T = 1 - _FLOOR; flooring keeps every m within t of nx, as the bounds
-    # are off by far less than 1
+def _windows(n: int, xs) -> tuple:
+    # first and end (exclusive) count of the Bernstein window for T = 1 - _FLOOR
+    # of each x of a checked 1-d array, or of one x as numpy scalars; flooring
+    # keeps every m within t of nx, as the bounds are off by far less than 1
     tail = 1.0 - _FLOOR
     nx = n * xs
     t = tail / 3 + np.sqrt(tail**2 / 9 + 2 * tail * nx * (1.0 - xs))
@@ -167,13 +170,10 @@ def _windows(n: int, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _pmf_window(n: int, x: float) -> tuple[int, np.ndarray]:
     # first count lo and the Binomial(n, x) pmf entries from lo on inside
     # x's Bernstein window, x checked by the caller; below a tile, the whole row
-    xs = np.array([x])
-    lo, hi = 0, n + 1
-    if n >= _TILE:
-        (lo,), (hi,) = _windows(n, xs)
+    lo, hi = _windows(n, x) if n >= _TILE else (0, n + 1)
     shape = (1, hi - lo)
     bufs = np.empty(shape), np.empty(shape), np.empty(shape, bool)
-    entries = _pmf_block(n, xs, lo, hi, *bufs)
+    entries = _pmf_block(n, np.array([x]), lo, hi, *bufs)
     return lo, entries[0]
 
 
@@ -185,7 +185,7 @@ def pmf_row(n: int, x: float) -> np.ndarray:
     computed, and the row is those entries written into zeros; the
     payoff functions read the window alone.
     """
-    _require_count(n, "n")
+    _require_count(n, "n", players=True)
     lo, entries = _pmf_window(n, require_probability(x, "x"))
     row = np.zeros(n + 1)
     row[lo : lo + entries.size] = entries
@@ -231,15 +231,14 @@ def mix(gains, n: int, xs) -> np.ndarray:
     if n < _TILE:  # below one tile of counts every block covers the whole row
         g = gains(np.arange(n + 1))
         step = max(1, _BLOCK_ENTRIES // ((n + 1) * len(g)))
-        starts = range(0, flat.size, step)
-        spans = [(0, n + 1, 0)] * len(starts)
+        spans = [(0, n + 1, 0)] * -(-flat.size // step)
         width = n + 1
     else:
         step = max(1, _BLOCK_ENTRIES // (n + 1))
-        starts = range(0, flat.size, step)
+        starts = np.arange(0, flat.size, step)
         firsts, ends = _windows(n, flat)
-        firsts = np.minimum.reduceat(firsts, starts) // _TILE * _TILE
-        ends = np.minimum(-(-np.maximum.reduceat(ends, starts) // _TILE) * _TILE, n + 1)
+        firsts = np.minimum.reduceat(firsts, starts) & -_TILE  # floored to a tile
+        ends = np.minimum((np.maximum.reduceat(ends, starts) + _TILE - 1) & -_TILE, n + 1)
         # the counts in the union of the blocks' spans, then n for g[n]
         runs = []
         width = 0  # the widest span
@@ -249,7 +248,7 @@ def mix(gains, n: int, xs) -> np.ndarray:
                 runs[-1][1] = max(runs[-1][1], end)
             else:
                 runs.append([first, end])
-        m = np.concatenate([np.arange(a, min(b, n)) for a, b in runs] + [[n]])
+        m = np.concatenate([np.arange(a, min(b, n)) for a, b in runs] + [(n,)])
         spans = zip(firsts.tolist(), ends.tolist(), np.searchsorted(m, firsts).tolist())
         g = gains(m)
     offsets = g - g[:, -1:]
@@ -259,7 +258,7 @@ def mix(gains, n: int, xs) -> np.ndarray:
     # products of every sequence, the pmf, and the mask of the logs exp sees
     shape = (min(step, flat.size), width)
     work, pmf, mask = np.empty((seqs,) + shape), np.empty(shape), np.empty(shape, bool)
-    for i, (first, end, col) in zip(starts, spans):
+    for i, (first, end, col) in zip(range(0, flat.size, step), spans):
         pts = flat[i : i + step]
         rows = out[:, i : i + step]
         npts, w = pts.size, end - first

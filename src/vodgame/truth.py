@@ -53,7 +53,7 @@ class TruthGameParams:
     allow_nonstandard: bool = False
 
     def __post_init__(self) -> None:
-        _require_count(self.n_regular, "n_regular")
+        _require_count(self.n_regular, "n_regular", players=True)
         _require_count(self.threshold, "threshold")
         for name in ("cost_volunteer", "cost_failure", "shared_reward"):
             if not math.isfinite(getattr(self, name)):

@@ -627,9 +627,9 @@ def test_reproduce_reports_pin_their_checks(tmp_path, figure, checks):
 
 def test_reproduce_fig3_reads_max_net_off_the_search(tmp_path, monkeypatch):
     """Each p*'s max net and its x_f are the peak of that sweep's search.
-    Each mode's 4 p* nets are mixed together in every kernel call: 8
-    search calls and one for the 201-point curve per mode. None of them
-    is on a separate fine grid, and the pair is never evaluated."""
+    Both modes' 8 p* nets are mixed together in every kernel call: 8
+    search calls and one for the 201-point curve. None of them is on a
+    separate fine grid, and the pair is never evaluated."""
     import vodgame.cli
     from test_equilibrium import mix_calls
 
@@ -639,10 +639,10 @@ def test_reproduce_fig3_reads_max_net_off_the_search(tmp_path, monkeypatch):
     monkeypatch.setattr(vodgame.cli, "expected_fake_payoffs", pair)
     calls = mix_calls(monkeypatch)
     report = reproduce_report(tmp_path, "fig3")
-    assert len(calls) == 18
-    assert {count for count, _ in calls} == {4}
+    assert len(calls) == 9
+    assert {count for count, _ in calls} == {8}
     sizes = [size for _, size in calls]
-    assert sizes.count(201) == 2
+    assert sizes.count(201) == 1
     assert 4097 not in sizes
     for tail in TailMode:
         for p_star in (0.04, 0.06, 0.08, 0.10):
@@ -651,6 +651,32 @@ def test_reproduce_fig3_reads_max_net_off_the_search(tmp_path, monkeypatch):
             ).peak
             start = f"pstar={p_star:g}: max net {peak:.6f} at x_f={at:.6f}, "
             assert sum(line.startswith(start) for line in report) == 1, (tail, start)
+
+
+@pytest.mark.parametrize("figure", ["fig1", "fig2"])
+def test_reproduce_searches_each_figure_as_one_batch(tmp_path, monkeypatch, figure):
+    """A figure's sweep is one batch: 9 kernel calls, each mixing all 4
+    of its nets (fig3's 9 calls of 8 are pinned above)."""
+    from test_equilibrium import mix_calls
+
+    calls = mix_calls(monkeypatch)
+    reproduce_report(tmp_path, figure)
+    assert [count for count, _ in calls] == [4] * 9
+
+
+@pytest.mark.parametrize("grid", [2048, 8])
+def test_reproduce_fig3_modes_match_each_mode_swept_alone(tmp_path, grid):
+    """fig3 searches both modes in one batch; each mode's two CSVs are
+    byte for byte those of run_sweep on that mode alone."""
+    from vodgame.cli import _sweep_csvs, run_sweep
+
+    out = tmp_path / "fig3"
+    assert run_cli("reproduce", "fig3", "--grid", str(grid), "--out", str(out)) == 0
+    for tail in TailMode:
+        cfg = RunConfig(model="fake", tail=tail.value, points=201, grid=grid)
+        alone = _sweep_csvs("pstar", run_sweep(cfg, "pstar", (0.04, 0.06, 0.08, 0.10)))
+        for kind, text in zip(("curves", "summary"), alone):
+            assert (out / f"fig3_{tail.value}_{kind}.csv").read_bytes() == text.encode(), (tail, kind)
 
 
 def test_reproduce_reports_missing_roots(tmp_path):
@@ -812,6 +838,9 @@ def test_config_file_missing(tmp_path):
         ("equilibria", "--grid", "1"),
         ("curve", "--xmin", "-0.1"),
         ("reproduce", "fig1", "--tol", "0"),
+        ("equilibria", "--n", str(2**53 + 1)),  # player counts past float64's exact integers
+        ("equilibria", "--model", "fake", "--f", str(10**20)),
+        ("equilibria", "--model", "fake", "--pstar", "0.06", "--n", str(10**20)),  # the turnout's
     ],
 )
 def test_invalid_parameters_exit_two(argv, tmp_path, capsys):
@@ -851,6 +880,44 @@ def test_nonstandard_costs_need_explicit_opt_in(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("curve", "--c", "0.9", "--alpha", "0.5",
                    "--allow-nonstandard", "--out", str(out)) == 0
+
+
+def _help(parse, argv, capsys) -> str:
+    with pytest.raises(SystemExit) as done:
+        parse([*argv, "--help"])
+    assert done.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_main_parser_leaks_nothing_between_calls(monkeypatch, capsys):
+    """main builds its parser once per process and reuses it. A flag of
+    one run is not seen by the next: without --pstar the fake model
+    derives p* again. A usage error after a run that succeeded still
+    exits 2, and every --help is byte for byte a fresh parser's."""
+    import vodgame.cli
+
+    derived = []
+
+    def counted(*args, real=vodgame.cli.stable_equilibrium):
+        derived.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(vodgame.cli, "stable_equilibrium", counted)
+    assert run_cli("equilibria", "--model", "fake", "--pstar", "0.06") == 0
+    parser = vodgame.cli._parser
+    assert derived == []
+    assert run_cli("equilibria", "--model", "fake") == 0
+    assert len(derived) == 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as done:
+        run_cli("equilibria", "--no-such-flag")
+    assert done.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    for argv in ([], ["curve"], ["equilibria"], ["sweep"], ["simulate"], ["reproduce"]):
+        fresh = _help(build_parser().parse_args, argv, capsys)
+        assert _help(main, argv, capsys) == fresh, argv
+    assert _help(main, [], capsys) == build_parser().format_help()
+    assert vodgame.cli._parser is parser
 
 
 # ---------------------------------------------------------------- determinism

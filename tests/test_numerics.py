@@ -244,6 +244,56 @@ def test_arrays_spanning_several_blocks_match_single_points():
                 assert values.shape == (0,)
 
 
+def test_single_points_match_one_array_call_at_a_million():
+    """At n = 10^6, each of 32 truth points (8e-6 * 10^(i/31), k = 6,
+    sigma = 5) and 32 fake points (p* = 5e-6), evaluated alone, equals
+    its entry in one array call, bit for bit, for both games' nets and
+    pairs."""
+    from vodgame.fake import FakeGameParams, expected_fake_payoffs, expected_net_payoff_fake
+    from vodgame.truth import TruthGameParams, net_payoff_regular, payoff_pair_regular
+
+    truth = TruthGameParams(n_regular=10**6)
+    fake = FakeGameParams()
+    games = [
+        ([float(f"{8e-6 * 10 ** (i / 31):.6g}") for i in range(32)],
+         lambda x: net_payoff_regular(x, truth), lambda x: payoff_pair_regular(x, truth)),
+        ([round(0.05 + 0.9 * i / 31, 6) for i in range(32)],
+         lambda x: expected_net_payoff_fake(x, 5e-6, 10**6, fake),
+         lambda x: expected_fake_payoffs(x, 5e-6, 10**6, fake)),
+    ]
+    for xs, net, pair in games:
+        nets, pairs = net(np.array(xs)), pair(np.array(xs))
+        for i, x in enumerate(xs):
+            assert _bits(net(x)) == _bits(nets[i]), x
+            one = pair(x)
+            for field in ("volunteer_avg", "defector_avg", "net"):
+                assert _bits(getattr(one, field)) == _bits(getattr(pairs, field)[i]), (x, field)
+
+
+@pytest.mark.parametrize("n", [2**53 + 1, 10**20])
+def test_player_counts_above_2_to_the_53_are_rejected(n):
+    """Above 2^53 a float64 no longer holds every count: each place a
+    player count enters rejects it before anything is built. 2^53 itself
+    passes the check, and a seed is not a player count."""
+    from vodgame.fake import FakeGameParams, TailMode, _turnout
+    from vodgame.numerics import _require_count
+    from vodgame.oracle import simulate_truth
+    from vodgame.truth import TruthGameParams
+
+    calls = [
+        (lambda: pmf_row(n, 0.5), "n"),
+        (lambda: TruthGameParams(n_regular=n), "n_regular"),
+        (lambda: FakeGameParams(n_fake=n), "n_fake"),
+        (lambda: _turnout(0.5, n, FakeGameParams(), TailMode.FULL), "n_regular"),
+    ]
+    for call, name in calls:
+        with pytest.raises(ValueError, match=rf"^{name} must be at most 2\*\*53, got {n}$"):
+            call()
+    _require_count(2**53, "n", players=True)
+    _require_count(n, "seed")
+    assert simulate_truth(TruthGameParams(), 0.09, trials=10, seed=n).trials == 10
+
+
 @pytest.mark.parametrize("n,points", [(10**4, 257), (2 * 10**5 + 3, 5)])
 def test_mix_matches_sums_over_whole_pmf_rows(n, points):
     """Block seams, between points at moderate n and within one row at
