@@ -23,7 +23,7 @@ from .equilibrium import (
     DEGENERATE,
     STABLE,
     UNSTABLE,
-    RegimeReport,
+    _roots_summary,
     _search,
     sample_curve,
     stable_equilibrium,
@@ -249,12 +249,6 @@ def cmd_equilibria(cfg: RunConfig) -> int:
     roots = [{"x": e.x, "slope": e.slope, "stability": e.stability} for e in report.equilibria]
     print(json.dumps({"regime": report.regime, "equilibria": roots}, indent=2))
     return 0
-
-
-def _roots_summary(report: RegimeReport) -> tuple[float | None, float | None]:
-    unstable = next((e.x for e in report.equilibria if e.stability == UNSTABLE), None)
-    stable = max((e.x for e in report.equilibria if e.stability == STABLE), default=None)
-    return unstable, stable
 
 
 def run_sweep(base: RunConfig, name: str, values: tuple):

@@ -48,7 +48,8 @@ class RegimeReport:
     "dominant_volunteer" (net positive throughout). Exact zeros sitting
     on the interval ends are reported as degenerate equilibria and do
     not affect the regime. peak is (x, net) at the first scan-grid point
-    where the net is largest.
+    where the net is largest; read on the grid, it can miss a maximum
+    narrower than a grid cell.
     """
 
     equilibria: tuple[Equilibrium, ...]
@@ -168,8 +169,14 @@ def stable_equilibrium(
     """Largest stable volunteering probability of the validation game,
     or None when the game has no stable interior equilibrium."""
     report = find_equilibria(lambda x: net_payoff_regular(x, params), grid_points, tol)
-    stable = [e.x for e in report.equilibria if e.stability == STABLE]
-    return max(stable) if stable else None
+    return _roots_summary(report)[1]
+
+
+def _roots_summary(report: RegimeReport) -> tuple[float | None, float | None]:
+    # the report's first unstable root and its largest stable one, None where it has none
+    unstable = next((e.x for e in report.equilibria if e.stability == UNSTABLE), None)
+    stable = max((e.x for e in report.equilibria if e.stability == STABLE), default=None)
+    return unstable, stable
 
 
 def sample_curve(

@@ -47,12 +47,10 @@ class FakeGameParams:
     strict_dominance: bool = False
 
     def __post_init__(self) -> None:
-        _require_count(self.n_fake, "n_fake", players=True)
+        _require_count(self.n_fake, "n_fake", 1, players=True)
         for name in ("cost_volunteer_fake", "cost_failure"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.n_fake < 1:
-            raise ValueError("n_fake must be at least 1")
         if self.cost_volunteer_fake <= 0.0:
             raise ValueError("cost_volunteer_fake must be positive")
         if self.cost_volunteer_fake >= self.cost_failure:
@@ -67,26 +65,24 @@ def _gains(weights: np.ndarray, p: FakeGameParams):
     # loses for both roles. The gains are built when mix calls for them,
     # so a tiny weight's products underflow under mix's np.errstate
     f = p.n_fake
+    net = _net_gains(weights, p)
 
     def gains(m: np.ndarray) -> np.ndarray:
         # below[i] = P[M < i] over M = 0..n_fake, for i = 0..n_fake + 1
         below = np.cumsum(np.concatenate(([0.0], weights[: f + 1])))
         total = below[-1] + weights[f + 1]
-        # with j peers a defector wins iff M < lo = j + 1 - s and a volunteer
-        # iff M < lo + 1, where s = 1 under strict dominance
+        # with j peers a defector wins iff M < j + 1 - s, where s = 1 under
+        # strict dominance; a volunteer gains the net's one term on top
         lo = m + (0 if p.strict_dominance else 1)
-        g = np.empty((2, m.size))
-        lose_v = 1.0 - p.cost_volunteer_fake - p.cost_failure
-        g[0] = lose_v * total + p.cost_failure * below[lo + 1]
-        g[1] = (1.0 - p.cost_failure) * total + p.cost_failure * below[lo]
-        return g
+        d = (1.0 - p.cost_failure) * total + p.cost_failure * below[lo]
+        return np.concatenate((d + net(m), d[None]))
 
     return gains
 
 
 def _net_gains(weights: np.ndarray, p: FakeGameParams):
-    # mix's gains callable for the net, _gains' row 0 minus row 1 as one term:
-    # monotone in the pmf entry, so it rises and falls with the turnout pmf
+    # mix's gains callable for the net, volunteer minus defector gains as one
+    # term: monotone in the pmf entry, so it rises and falls with the turnout pmf
     lo = 0 if p.strict_dominance else 1  # M = j + lo
     paid = p.cost_volunteer_fake * weights.sum()
     return lambda m: p.cost_failure * weights[None, m + lo] - paid
@@ -98,9 +94,7 @@ def _turnout(p_star: float, n_regular: int, params: FakeGameParams, tail: TailMo
     # The mass is summed rather than taken as 1 - kept: a pmf row's mass
     # misses 1 by ~3e-10 at n_regular = 10^6
     p_star = require_probability(p_star, "p_star")
-    _require_count(n_regular, "n_regular", players=True)
-    if n_regular < 1:
-        raise ValueError("n_regular must be at least 1")
+    _require_count(n_regular, "n_regular", 1, players=True)
     f = params.n_fake
     lo, entries = _pmf_window(n_regular, p_star)
     weights = np.zeros(f + 2)

@@ -94,14 +94,16 @@ def require_probability(value, name: str = "probability"):
     return v
 
 
-def _require_count(value, name: str, players: bool = False) -> None:
-    # a count or a seed must be a nonnegative int or numpy integer; a bool
-    # or a float, even a whole one, is rejected where it enters. Players are
-    # at most 2^53, past which the kernel's float64 counts are not exact
+def _require_count(value, name: str, minimum: int = 0, players: bool = False) -> None:
+    # a count or a seed must be an int or numpy integer, nonnegative and at
+    # least minimum; a bool or a float, even a whole one, is rejected where it
+    # enters. Players are at most 2^53, past which float64 counts are not exact
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
     if players and value > 2**53:
         raise ValueError(f"{name} must be at most 2**53, got {value!r}")
 

@@ -100,10 +100,8 @@ def _chunk_sizes(trials: int) -> list[int]:
 def _simulate(draw, trials: int, seed: int) -> SimResult:
     # draw(rng, size) returns the volunteer and defector payoff arrays of
     # one chunk; every chunk is scored and merged in index order
-    _require_count(trials, "trials")
+    _require_count(trials, "trials", 1)
     _require_count(seed, "seed")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     vol = _RunningMean()
     dfc = _RunningMean()
     for i, size in enumerate(_chunk_sizes(trials)):
@@ -189,9 +187,7 @@ def simulate_fake(
     """
     p_star = require_probability(p_star, "p_star")
     x_f = require_probability(x_f, "x_f")
-    _require_count(n_regular, "n_regular")
-    if n_regular < 1:
-        raise ValueError("n_regular must be at least 1")
+    _require_count(n_regular, "n_regular", 1)
 
     def draw(rng: np.random.Generator, size: int):
         # turnout before peers: the draw order fixes every seeded result

@@ -53,13 +53,11 @@ class TruthGameParams:
     allow_nonstandard: bool = False
 
     def __post_init__(self) -> None:
-        _require_count(self.n_regular, "n_regular", players=True)
+        _require_count(self.n_regular, "n_regular", 2, players=True)
         _require_count(self.threshold, "threshold")
         for name in ("cost_volunteer", "cost_failure", "shared_reward"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.n_regular < 2:
-            raise ValueError("n_regular must be at least 2")
         if not 1 <= self.threshold <= self.n_regular:
             raise ValueError("threshold must lie in 1..n_regular")
         if self.cost_volunteer <= 0.0:

@@ -863,6 +863,23 @@ def test_fake_simulate_error_names_xf(capsys):
     assert capsys.readouterr().err.splitlines()[-1] == "error: x_f must lie in [0, 1], got 1.5"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("equilibria", "--n", "1"), "n_regular must be at least 2"),
+        (("equilibria", "--n", "1", "--c", "nan"), "n_regular must be at least 2"),
+        (("equilibria", "--model", "fake", "--f", "0"), "n_fake must be at least 1"),
+        (("equilibria", "--model", "fake", "--pstar", "0.06", "--n", "0"),
+         "n_regular must be at least 1"),
+        (("simulate", "--trials", "0"), "trials must be at least 1"),
+        (("simulate", "--trials", "0", "--seed", "-1"), "trials must be at least 1"),
+    ],
+)
+def test_count_floor_errors_exit_two(argv, message, capsys):
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_unwritable_output_exits_three(tmp_path):
     target = tmp_path / "no_such_dir" / "curve.csv"
     assert run_cli("curve", "--out", str(target)) == 3

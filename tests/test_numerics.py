@@ -294,6 +294,36 @@ def test_player_counts_above_2_to_the_53_are_rejected(n):
     assert simulate_truth(TruthGameParams(), 0.09, trials=10, seed=n).trials == 10
 
 
+def test_count_floors_name_their_floor():
+    """Each count with a floor above 0 names it in one message, and that
+    check comes first: a nonfinite cost or a negative seed given with the
+    count is named only once the count passes."""
+    from vodgame.fake import FakeGameParams, expected_fake_payoffs
+    from vodgame.oracle import simulate_fake, simulate_truth
+    from vodgame.truth import TruthGameParams
+
+    truth, fake = TruthGameParams(), FakeGameParams()
+    calls = [
+        (lambda: TruthGameParams(n_regular=1), "n_regular must be at least 2"),
+        (lambda: TruthGameParams(n_regular=0), "n_regular must be at least 2"),
+        (lambda: TruthGameParams(n_regular=1, cost_volunteer=math.nan),
+         "n_regular must be at least 2"),
+        (lambda: FakeGameParams(n_fake=0), "n_fake must be at least 1"),
+        (lambda: FakeGameParams(n_fake=0, cost_volunteer_fake=math.nan),
+         "n_fake must be at least 1"),
+        (lambda: expected_fake_payoffs(0.5, 0.06, 0, fake), "n_regular must be at least 1"),
+        (lambda: simulate_fake(0.06, 0, fake, 0.5, 100), "n_regular must be at least 1"),
+        (lambda: simulate_truth(truth, 0.09, 0), "trials must be at least 1"),
+        (lambda: simulate_truth(truth, 0.09, 0, seed=-1), "trials must be at least 1"),
+        (lambda: simulate_fake(0.06, 100, fake, 0.5, 0), "trials must be at least 1"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+    with pytest.raises(ValueError, match=r"^n_regular must be nonnegative, got -1$"):
+        TruthGameParams(n_regular=-1)
+
+
 @pytest.mark.parametrize("n,points", [(10**4, 257), (2 * 10**5 + 3, 5)])
 def test_mix_matches_sums_over_whole_pmf_rows(n, points):
     """Block seams, between points at moderate n and within one row at

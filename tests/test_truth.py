@@ -260,6 +260,32 @@ def test_matches_the_exact_pivot_form_at_n_100(k, sigma):
             assert error <= 1e-13 * max(1.0, abs(want)), (x, float(error))
 
 
+def _poisson(j, lam):
+    return math.exp(j * math.log(lam) - lam - math.lgamma(j + 1))
+
+
+@pytest.mark.parametrize("k,sigma", [(1, 5.0), (6, 5.0), (8, 5.0), (60, 500.0)])
+def test_net_at_n_1e6_is_near_its_poisson_limit(k, sigma):
+    """An n-free check of the n = 10^6 path. With lam = n x fixed the net
+    tends to -c + alpha Pois(k-1; lam) + (sigma/lam) P[Pois(lam) >= k].
+
+    The net is E[g(B)], B ~ Bin(n-1, lam/n), and the limit is E[h(P)],
+    P ~ Pois(lam), where h is g without the fee -sigma/n that g takes at
+    k - 1. h runs from -c to -c + alpha + sigma/k, so the two differ by
+    at most (alpha + sigma/k) d_TV(B, P) + sigma/n. Le Cam (1960) puts
+    d_TV(Bin(n-1, p), Pois((n-1)p)) at most (n-1)p^2 <= lam^2/n, and the
+    rate shift from (n-1)p to lam adds at most p = lam/n."""
+    n = 10**6
+    p = TruthGameParams(n_regular=n, threshold=k, shared_reward=sigma)
+    lams = np.geomspace(0.5, 80.0, 16)
+    got = net_payoff_regular(lams / n, p)
+    for lam, net in zip(lams.tolist(), got.tolist()):
+        above = math.fsum(_poisson(j, lam) for j in range(k, k + 400))  # P[Pois(lam) >= k]
+        limit = -p.cost_volunteer + p.cost_failure * _poisson(k - 1, lam) + sigma / lam * above
+        bound = (lam * lam / n + lam / n) * (p.cost_failure + sigma / k) + sigma / n
+        assert abs(net - limit) <= bound, (lam, net, limit, bound)
+
+
 def test_net_is_continuous_on_dense_grid():
     step = 1e-6
     for i in range(101):
